@@ -137,7 +137,7 @@ func TestClientAgainstRouter(t *testing.T) {
 	}
 
 	// Cancel an endless job; the client sees the terminal state.
-	run, err := c.Submit(ctx, jobReq(5, 200000))
+	run, err := c.Submit(ctx, jobReq(5, 800000))
 	if err != nil {
 		t.Fatal(err)
 	}

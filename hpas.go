@@ -277,6 +277,8 @@ type (
 	// StreamJobSpec is one submission: a campaign plus its pipeline.
 	StreamJobSpec = stream.JobSpec
 	// StreamJob is a tracked submission with a followable live stream.
+	// It holds the stream, not the simulation: to keep a run's metric
+	// traces, call Run or Campaign.Run directly.
 	StreamJob = stream.Job
 	// StreamJobState is a job's lifecycle position.
 	StreamJobState = stream.JobState

@@ -77,6 +77,11 @@ type Cluster struct {
 	net   *netsim.Network
 	fs    *storage.Server
 	rng   *xrand.RNG
+
+	// scratch buffers reused across ticks
+	flows   []*netsim.Flow
+	clients []Client
+	demands []storage.Demand
 }
 
 // New builds a cluster. It panics when more nodes are requested than the
@@ -134,28 +139,32 @@ func (c *Cluster) Remove(p node.Proc, nodeID int) {
 // Tick implements sim.Ticker: resolve network, then filesystem, then
 // advance every node.
 func (c *Cluster) Tick(now, dt float64) {
+	// Flows and IODemand only report — neither places nor removes a
+	// process — so both walks read the residents in place, not a copy.
+
 	// Network.
-	var flows []*netsim.Flow
+	flows := c.flows[:0]
 	for _, n := range c.nodes {
-		for _, p := range n.Procs() {
-			if fs, ok := p.(FlowSource); ok {
+		for i := 0; i < n.NumProcs(); i++ {
+			if fs, ok := n.Proc(i).(FlowSource); ok {
 				flows = append(flows, fs.Flows(now)...)
 			}
 		}
 	}
+	c.flows = flows
 	c.net.Resolve(flows)
 
 	// Filesystem.
-	var clients []Client
-	var demands []storage.Demand
+	clients, demands := c.clients[:0], c.demands[:0]
 	for _, n := range c.nodes {
-		for _, p := range n.Procs() {
-			if cl, ok := p.(Client); ok {
+		for i := 0; i < n.NumProcs(); i++ {
+			if cl, ok := n.Proc(i).(Client); ok {
 				clients = append(clients, cl)
 				demands = append(demands, cl.IODemand(now))
 			}
 		}
 	}
+	c.clients, c.demands = clients, demands
 	if len(clients) > 0 {
 		grants := c.fs.Resolve(demands, dt)
 		for i, cl := range clients {

@@ -49,7 +49,9 @@ type RunConfig struct {
 	DT float64
 	// Tap, when non-nil, receives every monitor sample as it is taken,
 	// enabling online consumers (see internal/stream) to observe the run
-	// while it is still in progress. Excluded from JSON so a RunConfig
+	// while it is still in progress. A sample's Values are valid for
+	// the duration of the call only (the monitor reuses the buffer); a
+	// tap that keeps them copies them. Excluded from JSON so a RunConfig
 	// can be journaled (see internal/stream/journal).
 	Tap monitor.TapFunc `json:"-"`
 }

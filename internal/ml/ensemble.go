@@ -159,7 +159,14 @@ func (f *Forest) Predict(x []float64) int {
 // 1 for a trained forest). Online consumers use the winning share as a
 // prediction-confidence signal.
 func (f *Forest) Votes(x []float64) []float64 {
-	votes := make([]float64, f.classes)
+	return f.VotesInto(make([]float64, 0, f.classes), x)
+}
+
+// VotesInto is Votes appending the shares to dst[:0]'s storage: a
+// caller classifying window after window passes the slice it got back
+// last time and allocates nothing.
+func (f *Forest) VotesInto(dst, x []float64) []float64 {
+	votes := append(dst[:0], make([]float64, f.classes)...)
 	if len(f.trees) == 0 {
 		return votes
 	}

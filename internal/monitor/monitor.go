@@ -11,6 +11,9 @@
 package monitor
 
 import (
+	"slices"
+	"sort"
+
 	"hpas/internal/cluster"
 	"hpas/internal/node"
 	"hpas/internal/sim"
@@ -55,8 +58,10 @@ const flitBytes = 16
 // Sample is one monitoring observation of one node, delivered to stream
 // taps as it is taken. Names is shared across deliveries and sorted (the
 // same order internal/features processes a trace.Set in); callers must
-// not mutate it. Values is freshly allocated per delivery and aligned
-// with Names.
+// not mutate it. Values is aligned with Names and is the monitor's own
+// buffer, overwritten by the next sample: it is valid for the duration
+// of the tap call only, and a tap that keeps a sample's values copies
+// them (internal/stream's pipeline copies into its rings).
 type Sample struct {
 	Node   int
 	Time   float64 // simulation time of the sample, seconds
@@ -66,7 +71,8 @@ type Sample struct {
 }
 
 // TapFunc observes samples as the monitor takes them. It runs on the
-// simulation goroutine: keep it fast and hand off heavy work.
+// simulation goroutine: keep it fast and hand off heavy work — after
+// copying Sample.Values, which the monitor reuses once the call returns.
 type TapFunc func(Sample)
 
 // Options configure optional monitor behaviour.
@@ -90,8 +96,14 @@ type Monitor struct {
 
 	nextSample float64
 	sets       []*trace.Set
+	series     [][]*trace.Series // series[i]: node i's series in collection order (Names, then MemBW)
 	prev       []node.Counters
-	tapNames   []string // sorted metric names, shared across tap samples
+
+	// Tap delivery, resolved once: sorted names shared by every sample,
+	// where each sits in collection order, and the one values buffer.
+	tapNames []string
+	tapOrder []int
+	tapVals  []float64
 }
 
 // New returns a monitor sampling every period seconds with multiplicative
@@ -119,14 +131,22 @@ func NewWithOptions(cl *cluster.Cluster, period, noise float64, seed uint64, opt
 	}
 	for i := 0; i < cl.NumNodes(); i++ {
 		set := trace.NewSet()
-		for _, name := range names {
-			set.Add(trace.NewSeries(name, period))
+		series := make([]*trace.Series, len(names))
+		for k, name := range names {
+			series[k] = trace.NewSeries(name, period)
+			set.Add(series[k])
 		}
 		m.sets = append(m.sets, set)
+		m.series = append(m.series, series)
 		m.prev[i] = cl.Node(i).Counters()
 	}
-	if opts.Tap != nil && len(m.sets) > 0 {
-		m.tapNames = m.sets[0].Names()
+	if opts.Tap != nil {
+		m.tapNames = append([]string(nil), names...)
+		sort.Strings(m.tapNames)
+		for _, name := range m.tapNames {
+			m.tapOrder = append(m.tapOrder, slices.Index(names, name))
+		}
+		m.tapVals = make([]float64, len(names))
 	}
 	m.nextSample = period
 	return m
@@ -151,15 +171,15 @@ func (m *Monitor) Tick(now, dt float64) {
 }
 
 // tapSample assembles the node's just-appended sample in sorted-name
-// order for delivery to the stream tap.
+// order for delivery to the stream tap, in the buffer every delivery
+// shares.
 func (m *Monitor) tapSample(i int, t float64) Sample {
-	set := m.sets[i]
-	vals := make([]float64, len(m.tapNames))
-	for j, name := range m.tapNames {
-		s := set.Get(name)
-		vals[j] = s.Values[len(s.Values)-1]
+	series := m.series[i]
+	for j, k := range m.tapOrder {
+		s := series[k]
+		m.tapVals[j] = s.Values[len(s.Values)-1]
 	}
-	return Sample{Node: i, Time: t, Period: m.period, Names: m.tapNames, Values: vals}
+	return Sample{Node: i, Time: t, Period: m.period, Names: m.tapNames, Values: m.tapVals}
 }
 
 func (m *Monitor) sample(i int) {
@@ -167,35 +187,39 @@ func (m *Monitor) sample(i int) {
 	cur := n.Counters()
 	prev := m.prev[i]
 	m.prev[i] = cur
-	set := m.sets[i]
 	p := m.period
 
 	user := (cur.UserSeconds - prev.UserSeconds) / p * 100
 	sys := (cur.SysSeconds - prev.SysSeconds) / p * 100
 	idle := float64(n.Spec.Threads())*100 - user - sys
 
-	m.append(set, MetricUser, user)
-	m.append(set, MetricSys, sys)
-	m.append(set, MetricIdle, idle)
-	m.append(set, MetricMemFree, float64(n.MemFree()))
-	m.append(set, MetricMemUsed, float64(cur.MemUsed))
-	m.append(set, MetricPgFault, (cur.PageFaults-prev.PageFaults)/p)
-	m.append(set, MetricInst, (cur.Instructions-prev.Instructions)/p)
-	m.append(set, MetricL2Miss, (cur.L2Misses-prev.L2Misses)/p)
-	m.append(set, MetricL3Miss, (cur.L3Misses-prev.L3Misses)/p)
-	m.append(set, MetricNICFlits, m.cl.Net().InjectedRate(i)/flitBytes)
-	if m.opts.IncludeMemBW {
-		m.append(set, MetricMemBW, (cur.MemBytes-prev.MemBytes)/p/node.CacheLine)
+	// In collection order: Names, then MemBW, which only a monitor
+	// collecting it has a series for.
+	values := [...]float64{
+		user,
+		sys,
+		idle,
+		float64(n.MemFree()),
+		float64(cur.MemUsed),
+		(cur.PageFaults - prev.PageFaults) / p,
+		(cur.Instructions - prev.Instructions) / p,
+		(cur.L2Misses - prev.L2Misses) / p,
+		(cur.L3Misses - prev.L3Misses) / p,
+		m.cl.Net().InjectedRate(i) / flitBytes,
+		(cur.MemBytes - prev.MemBytes) / p / node.CacheLine,
+	}
+	for k, s := range m.series[i] {
+		m.append(s, values[k])
 	}
 }
 
 // append adds a sample with multiplicative noise (values of exactly zero
 // stay zero, as real counters would).
-func (m *Monitor) append(set *trace.Set, name string, v float64) {
+func (m *Monitor) append(s *trace.Series, v float64) {
 	if v != 0 && m.noise > 0 {
 		v *= m.rng.Jitter(m.noise)
 	}
-	set.Get(name).Append(v)
+	s.Append(v)
 }
 
 var _ sim.Ticker = (*Monitor)(nil)

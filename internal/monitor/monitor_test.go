@@ -2,6 +2,7 @@ package monitor
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"hpas/internal/cluster"
@@ -162,6 +163,60 @@ func TestDeterministicSampling(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("sampling not deterministic")
+		}
+	}
+}
+
+// The tap sees, for every node and sampling period, exactly the values
+// the monitor just appended to that node's trace, under sorted names.
+func TestTapDeliversJustAppendedSample(t *testing.T) {
+	for _, memBW := range []bool{false, true} {
+		c := cluster.New(cluster.Voltrino(2))
+		var m *Monitor
+		delivered := 0
+		var prev []float64 // the previous delivery's Values slice
+		tap := func(s Sample) {
+			delivered++
+			if !sort.StringsAreSorted(s.Names) {
+				t.Fatalf("memBW=%v: tap names not sorted: %v", memBW, s.Names)
+			}
+			want := len(Names())
+			if memBW {
+				want++
+			}
+			if len(s.Names) != want || len(s.Values) != want {
+				t.Fatalf("memBW=%v: %d names / %d values, want %d", memBW, len(s.Names), len(s.Values), want)
+			}
+			if s.Period != 1 {
+				t.Errorf("period = %v", s.Period)
+			}
+			for j, name := range s.Names {
+				series := m.NodeSet(s.Node).Get(name)
+				if series == nil {
+					t.Fatalf("memBW=%v: tap names %q, which node %d does not collect", memBW, name, s.Node)
+				}
+				if n := series.Len(); float64(n) != s.Time {
+					t.Errorf("node %d %s has %d samples at tap time %v", s.Node, name, n, s.Time)
+				}
+				if got, want := s.Values[j], series.Values[series.Len()-1]; math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("node %d %s at t=%v: tap %v, trace %v", s.Node, name, s.Time, got, want)
+				}
+			}
+			// The lifetime rule on Sample: one buffer serves every delivery.
+			if prev != nil && &prev[0] != &s.Values[0] {
+				t.Errorf("memBW=%v: tap values moved between deliveries; the monitor should reuse one buffer", memBW)
+			}
+			prev = s.Values
+		}
+		m = NewWithOptions(c, 1.0, 0.02, 7, Options{IncludeMemBW: memBW, Tap: tap})
+		e := sim.New(0.1)
+		e.Add(c)
+		e.Add(m)
+		c.Place(&busy{cpu: 1}, 0, 0)
+		c.Place(&busy{cpu: 0.3}, 1, 2)
+		e.RunFor(6)
+		if delivered != 2*6 {
+			t.Errorf("memBW=%v: tap saw %d samples, want %d", memBW, delivered, 2*6)
 		}
 	}
 }

@@ -142,6 +142,9 @@ type Node struct {
 	// scratch buffers reused across ticks
 	demands []Demand
 	grants  []Grant
+	// per-thread, per-core, per-socket and per-process sums of the
+	// resolve passes, zeroed at the start of the pass that owns them
+	threadDemand, coreWS, sockWS, sockDemand, bwDemand []float64
 }
 
 // New returns a node with the given spec and deterministic noise seed.
@@ -191,17 +194,13 @@ func (n *Node) Remove(proc Proc) {
 	}
 }
 
-// Procs returns the resident processes in placement order.
-func (n *Node) Procs() []Proc {
-	out := make([]Proc, len(n.procs))
-	for i, p := range n.procs {
-		out[i] = p.proc
-	}
-	return out
-}
-
 // NumProcs returns the number of resident processes.
 func (n *Node) NumProcs() int { return len(n.procs) }
+
+// Proc returns the i-th resident process in placement order. With
+// NumProcs it walks the residents in place; the walk must not place or
+// remove processes on this node.
+func (n *Node) Proc(i int) Proc { return n.procs[i].proc }
 
 // CPUOf returns the logical CPU proc is pinned to, or -1 if absent.
 func (n *Node) CPUOf(proc Proc) int {
@@ -295,7 +294,7 @@ func (n *Node) Tick(now, dt float64) {
 // and applies the SMT penalty when a sibling thread is busy.
 func (n *Node) resolveCPU(demands []Demand, grants []Grant) {
 	spec := &n.Spec
-	threadDemand := make([]float64, spec.Threads())
+	threadDemand := zeroed(&n.threadDemand, spec.Threads())
 	for i, p := range n.procs {
 		threadDemand[p.cpu] += demands[i].CPU
 	}
@@ -319,8 +318,8 @@ func (n *Node) resolveCPU(demands []Demand, grants []Grant) {
 // fits in the process's occupancy share, made cumulative across levels.
 func (n *Node) resolveCache(demands []Demand, grants []Grant) {
 	spec := &n.Spec
-	coreWS := make([]float64, spec.PhysCores())
-	sockWS := make([]float64, spec.Sockets)
+	coreWS := zeroed(&n.coreWS, spec.PhysCores())
+	sockWS := zeroed(&n.sockWS, spec.Sockets)
 	for i, p := range n.procs {
 		ws := float64(demands[i].WorkingSet)
 		coreWS[spec.CoreOf(p.cpu)] += ws
@@ -365,8 +364,8 @@ func coverage(ws, totalWS, capacity float64) float64 {
 // when the socket's bandwidth ceiling is exceeded.
 func (n *Node) resolveMemBW(demands []Demand, grants []Grant) {
 	spec := &n.Spec
-	sockDemand := make([]float64, spec.Sockets)
-	bwDemand := make([]float64, len(n.procs))
+	sockDemand := zeroed(&n.sockDemand, spec.Sockets)
+	bwDemand := zeroed(&n.bwDemand, len(n.procs))
 	for i, p := range n.procs {
 		d := demands[i]
 		ips := d.IPS
@@ -423,6 +422,16 @@ func (n *Node) resolveMemory(demands []Demand, grants []Grant) {
 		n.ctr.OOMKills++
 		total -= victimRes
 	}
+}
+
+// zeroed returns *buf resized to n zeros, reallocating only to grow.
+func zeroed(buf *[]float64, n int) []float64 {
+	if cap(*buf) < n {
+		*buf = make([]float64, n)
+	}
+	s := (*buf)[:n]
+	clear(s)
+	return s
 }
 
 func minf(a, b float64) float64 {

@@ -929,10 +929,10 @@ func TestChaosRouterQuorumHealsPartitionAndCrash(t *testing.T) {
 	ctx := ctxT(t)
 
 	// pin outlives this test's wall clock: the stock endless() fixture
-	// (Duration 200000) computes to completion in under twenty seconds,
+	// (Duration 800000) computes to completion in under twenty seconds,
 	// and the survivor follower here must still be live at the end.
 	pin := func(seed uint64) api.JobRequest {
-		return api.JobRequest{Seed: seed, Duration: 2000000, Window: 10}
+		return api.JobRequest{Seed: seed, Duration: 8000000, Window: 10}
 	}
 
 	names := []string{"shard0", "shard1", "shard2"}

@@ -145,7 +145,7 @@ func waitForHead(t *testing.T, mgr *hpas.StreamManager, localID string, n int) {
 // only live lag is bounded, never the log.
 func TestRouterSSEResumeThroughProxyInsideGapSkippedRegion(t *testing.T) {
 	ts, c := gappyCluster(t)
-	gid := submitHTTP(t, ts, `{"seed":9,"duration":200000,"window":10}`)
+	gid := submitHTTP(t, ts, `{"seed":9,"duration":800000,"window":10}`)
 
 	mgr := c.mgrs["shard0"]
 	jobs := mgr.Jobs()

@@ -57,6 +57,13 @@ type localCluster struct {
 
 func newLocalCluster(t *testing.T, n, workers int) *localCluster {
 	t.Helper()
+	return newLocalClusterWith(t, n, hpas.StreamConfig{Workers: workers, Queue: 32})
+}
+
+// newLocalClusterWith is newLocalCluster with every shard's manager
+// built from scfg.
+func newLocalClusterWith(t *testing.T, n int, scfg hpas.StreamConfig) *localCluster {
+	t.Helper()
 	det := detector(t)
 	c := &localCluster{
 		locals: make(map[string]*Local, n),
@@ -65,7 +72,7 @@ func newLocalCluster(t *testing.T, n, workers int) *localCluster {
 	var members []Member
 	for i := 0; i < n; i++ {
 		name := fmt.Sprintf("shard%d", i)
-		mgr := hpas.NewStreamManager(hpas.StreamConfig{Workers: workers, Queue: 32})
+		mgr := hpas.NewStreamManager(scfg)
 		l := NewLocal(mgr, serve.New(mgr, det, serve.Config{}))
 		members = append(members, Member{Name: name, Backend: l})
 		c.names = append(c.names, name)
@@ -97,9 +104,13 @@ func ctxT(t *testing.T) context.Context {
 }
 
 // endless returns a submission that keeps producing windows until
-// cancelled or orphaned — the tool for pinning a one-worker shard.
+// cancelled or orphaned — the tool for pinning a one-worker shard. The
+// duration is sized to the simulator's speed, not to a scenario: an
+// app-less node runs ~270 k simulated seconds per wall second, so this
+// is about three seconds of one core. Scale it when the simulator gets
+// faster, or the tests that rely on it start racing its completion.
 func endless(seed uint64) api.JobRequest {
-	return api.JobRequest{Seed: seed, Duration: 200000, Window: 10}
+	return api.JobRequest{Seed: seed, Duration: 800000, Window: 10}
 }
 
 // waitState polls the routed view of gid until cond accepts its state.
@@ -222,7 +233,7 @@ func TestRouterHTTPSurface(t *testing.T) {
 	post := func(key string) (*http.Response, api.JobStatus) {
 		t.Helper()
 		req, _ := http.NewRequest("POST", ts.URL+"/v1/jobs",
-			strings.NewReader(`{"seed":3,"duration":200000,"window":10}`))
+			strings.NewReader(`{"seed":3,"duration":800000,"window":10}`))
 		req.Header.Set("Content-Type", "application/json")
 		if key != "" {
 			req.Header.Set(api.IdempotencyKeyHeader, key)
@@ -440,9 +451,11 @@ func TestRouterFailoverRequeuesQueuedAndFinalizesRunning(t *testing.T) {
 
 // A follower streaming a job whose shard dies receives a clean
 // synthetic terminal frame at the next log index instead of a hang or
-// a silent cut.
+// a silent cut. Lag dropping is off (FollowLimit < 0): the job outruns
+// a follower attached at 0 by more than the default limit, and this
+// test requires every frame up to the shard-loss one.
 func TestRouterStreamSynthesizesShardLossFrame(t *testing.T) {
-	c := newLocalCluster(t, 2, 1)
+	c := newLocalClusterWith(t, 2, hpas.StreamConfig{Workers: 1, Queue: 32, FollowLimit: -1})
 	ctx := ctxT(t)
 
 	st, _, err := c.rt.Submit(ctx, endless(21), "")

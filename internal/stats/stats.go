@@ -87,7 +87,7 @@ func Percentile(xs []float64, p float64) float64 {
 	}
 	sorted := append([]float64(nil), xs...)
 	sort.Float64s(sorted)
-	return percentileSorted(sorted, p)
+	return PercentileSorted(sorted, p)
 }
 
 // Percentiles computes several percentiles with a single sort.
@@ -99,12 +99,15 @@ func Percentiles(xs []float64, ps ...float64) []float64 {
 	sorted := append([]float64(nil), xs...)
 	sort.Float64s(sorted)
 	for i, p := range ps {
-		out[i] = percentileSorted(sorted, p)
+		out[i] = PercentileSorted(sorted, p)
 	}
 	return out
 }
 
-func percentileSorted(sorted []float64, p float64) float64 {
+// PercentileSorted is Percentile on a series that is already sorted
+// ascending and not empty, for callers that sort once into their own
+// buffer (internal/features).
+func PercentileSorted(sorted []float64, p float64) float64 {
 	if p <= 0 {
 		return sorted[0]
 	}

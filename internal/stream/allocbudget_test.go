@@ -1,9 +1,18 @@
 package stream
 
 import (
+	"fmt"
 	"testing"
 
+	"hpas/internal/cluster"
+	"hpas/internal/diagnose"
+	"hpas/internal/features"
+	"hpas/internal/ml"
+	"hpas/internal/monitor"
+	"hpas/internal/node"
 	"hpas/internal/race"
+	"hpas/internal/units"
+	"hpas/internal/xrand"
 )
 
 // Alloc-budget ceilings for the streaming hot paths, enforced by
@@ -46,5 +55,114 @@ func TestAllocBudgetAppendFanout(t *testing.T) {
 	res := testing.Benchmark(BenchmarkAppendFanout)
 	if perMsg := float64(res.AllocsPerOp()); perMsg > appendAllocBudgetPerMsg {
 		t.Fatalf("append fan-out allocates %.3f allocs/msg, budget %.2f", perMsg, appendAllocBudgetPerMsg)
+	}
+}
+
+// The window path: simulator tick → monitor sample → ring → features →
+// votes. Unlike the fan-out budgets these are exact counts from
+// testing.AllocsPerRun on warmed state, because the path is meant to
+// allocate nothing of its own (DESIGN.md, "Window path").
+
+// windowAllocBudget is what one Observe that closes a window may
+// allocate: the *Window handed to Emit (1 measured), with one spare.
+const windowAllocBudget = 2
+
+// forestDetector trains a small random forest over nMetrics×Count()
+// features whose class follows the first metric's mean.
+func forestDetector(t *testing.T, nMetrics int, window float64) *diagnose.Detector {
+	t.Helper()
+	rng := xrand.New(5)
+	ds := &ml.Dataset{Classes: []string{"none", "hog"}}
+	for i := 0; i < 60; i++ {
+		x := make([]float64, nMetrics*features.Count())
+		for k := range x {
+			x[k] = rng.Norm(0, 1)
+		}
+		y := i % 2
+		x[0] += 100 * float64(y)
+		ds.X = append(ds.X, x)
+		ds.Y = append(ds.Y, y)
+	}
+	det, err := diagnose.Train(ds, window, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return det
+}
+
+func TestAllocBudgetWindowPath(t *testing.T) {
+	skipIfAllocCountsUnreliable(t)
+	const nMetrics, winN = 10, 10
+	windows := 0
+	p, err := NewPipeline(PipelineConfig{
+		Detector: forestDetector(t, nMetrics, winN),
+		Stride:   1, // once the window is full, every sample closes one
+		Emit:     func(Message) { windows++ },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := make([]string, nMetrics)
+	for m := range names {
+		names[m] = fmt.Sprintf("m%02d::test", m)
+	}
+	rng := xrand.New(2)
+	s := monitor.Sample{Period: 1, Names: names, Values: make([]float64, nMetrics)}
+	observe := func() {
+		s.Time++
+		for m := range s.Values {
+			s.Values[m] = rng.Norm(0, 1)
+		}
+		p.Observe(s)
+	}
+	for i := 0; i < 2*winN; i++ { // fill the ring, grow every scratch
+		observe()
+	}
+	before := windows
+	allocs := testing.AllocsPerRun(200, observe)
+	if err := p.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if windows-before < 200 {
+		t.Fatalf("only %d of 200 observes closed a window", windows-before)
+	}
+	if allocs > windowAllocBudget {
+		t.Fatalf("a window-closing Observe allocates %.1f, budget %d", allocs, windowAllocBudget)
+	}
+}
+
+// residentProc is a never-finishing process with a demand on every
+// resource a node resolves.
+type residentProc struct{}
+
+func (residentProc) Name() string { return "resident" }
+func (residentProc) Done() bool   { return false }
+func (residentProc) Demand(float64) node.Demand {
+	return node.Demand{CPU: 0.8, WorkingSet: 64 * units.MiB, APKI: 20, StreamBW: 2e9, Resident: units.GiB}
+}
+func (residentProc) Advance(_, dt float64, g node.Grant) node.Usage {
+	return node.Usage{CPUSeconds: g.CPUShare * dt, Instructions: g.EffIPS(0, 20) * dt}
+}
+
+func TestAllocBudgetSimulatorTick(t *testing.T) {
+	skipIfAllocCountsUnreliable(t)
+	c := cluster.New(cluster.Voltrino(4))
+	for n := 0; n < c.NumNodes(); n++ {
+		for cpu := 0; cpu < 6; cpu++ {
+			c.Place(residentProc{}, n, cpu)
+		}
+	}
+	now := 0.0
+	tick := func(tk func(now, dt float64)) func() {
+		return func() { tk(now, 0.1); now += 0.1 }
+	}
+	nodeTick, clusterTick := tick(c.Node(0).Tick), tick(c.Tick)
+	nodeTick()
+	clusterTick()
+	if allocs := testing.AllocsPerRun(100, nodeTick); allocs != 0 {
+		t.Errorf("node.Tick over resident procs allocates %.1f per tick, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, clusterTick); allocs != 0 {
+		t.Errorf("cluster.Tick over resident procs allocates %.1f per tick, want 0", allocs)
 	}
 }

@@ -54,7 +54,10 @@ type JobSpec struct {
 }
 
 // Job is one tracked submission. All accessors are safe for concurrent
-// use with the worker executing the job.
+// use with the worker executing the job. A job keeps its spec, its
+// lifecycle and its message log — everything a stream replay needs —
+// and nothing of the simulation that produced them: the run's cluster
+// and metric traces are garbage once the worker returns.
 type Job struct {
 	id          string
 	spec        JobSpec
@@ -72,7 +75,6 @@ type Job struct {
 	events   []Event       // anomaly events, maintained incrementally on append
 	updated  chan struct{} // closed and replaced on every append/state change
 	cancel   context.CancelFunc
-	result   *core.CampaignResult
 	created  time.Time
 	started  time.Time
 	finished time.Time
@@ -94,14 +96,6 @@ func (j *Job) Times() (created, started, finished time.Time) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.created, j.started, j.finished
-}
-
-// Result returns the completed campaign result (nil until JobDone, and
-// nil for jobs restored from a Store — results are not persisted).
-func (j *Job) Result() *core.CampaignResult {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.result
 }
 
 // Messages returns a snapshot of the stream log so far.
@@ -780,7 +774,7 @@ func (m *Manager) run(j *Job) {
 	defer func() {
 		if r := recover(); r != nil {
 			m.panics.Add(1)
-			m.finish(j, nil, fmt.Errorf("stream: pipeline panic: %v", r))
+			m.finish(j, fmt.Errorf("stream: pipeline panic: %v", r))
 		}
 	}()
 
@@ -806,28 +800,26 @@ func (m *Manager) run(j *Job) {
 	pcfg.Telemetry = &m.tel
 	pipe, err := NewPipeline(pcfg)
 	if err != nil {
-		m.finish(j, nil, err)
+		m.finish(j, err)
 		return
 	}
 
 	camp := j.spec.Campaign
 	camp.Base.Tap = pipe.Observe
 
-	var res *core.CampaignResult
+	// The run's result (cluster, nodes, every trace set) is dropped here:
+	// the stream is the job's output, and a finished job must not pin
+	// its simulation.
 	if len(camp.Phases) > 0 {
-		res, err = camp.RunContext(ctx)
+		_, err = camp.RunContext(ctx)
 	} else {
-		var rr *core.RunResult
-		rr, err = core.RunContext(ctx, camp.Base)
-		if err == nil {
-			res = &core.CampaignResult{RunResult: rr}
-		}
+		_, err = core.RunContext(ctx, camp.Base)
 	}
 	if err == nil {
 		pipe.Flush()
 		err = pipe.Err()
 	}
-	m.finish(j, res, err)
+	m.finish(j, err)
 }
 
 // append adds a stream message to the job and journals it.
@@ -840,7 +832,7 @@ func (m *Manager) append(j *Job, msg Message) {
 
 // finish records the job's terminal state, appends the final stream
 // message, and journals both.
-func (m *Manager) finish(j *Job, res *core.CampaignResult, err error) {
+func (m *Manager) finish(j *Job, err error) {
 	now := time.Now()
 	var msg Message
 	j.mu.Lock()
@@ -852,7 +844,6 @@ func (m *Manager) finish(j *Job, res *core.CampaignResult, err error) {
 	switch {
 	case err == nil:
 		j.state = JobDone
-		j.result = res
 		msg = Message{Type: "done", State: JobDone}
 		m.done.Add(1)
 	case errors.Is(err, context.Canceled):

@@ -162,8 +162,13 @@ func TestManagerPlainRunWithoutPhases(t *testing.T) {
 	if windows != 2 || events != 0 {
 		t.Fatalf("clean run: %d windows / %d events, want 2 / 0", windows, events)
 	}
-	if res := j.Result(); res == nil || len(res.Metrics) != 1 {
-		t.Fatalf("missing campaign result on done job")
+	// What a client sees of a finished job: the done frame closes the
+	// stream, and the window count is on the manager's metrics.
+	if last := msgs[len(msgs)-1]; last.Type != "done" || last.State != JobDone || last.Error != "" {
+		t.Fatalf("last frame = %+v, want a clean done frame", last)
+	}
+	if st := m.Stats(); st.WindowsProcessed != 2 || st.JobsDone != 1 {
+		t.Fatalf("stats = %+v, want 2 windows processed and 1 job done", st)
 	}
 }
 
@@ -172,7 +177,7 @@ func TestManagerCancelRunningJob(t *testing.T) {
 	defer m.Close()
 
 	// A run long enough that cancellation lands mid-flight.
-	j, err := m.Submit(hogSpec(5, 200000))
+	j, err := m.Submit(hogSpec(5, 800000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +204,7 @@ func TestManagerCancelQueuedJobAndQueueFull(t *testing.T) {
 	m := NewManager(Config{Workers: 1, Queue: 1})
 	defer m.Close()
 
-	long, err := m.Submit(hogSpec(1, 200000))
+	long, err := m.Submit(hogSpec(1, 800000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +273,7 @@ func TestManagerCancelQueuedReleasesSlot(t *testing.T) {
 	m := NewManager(Config{Workers: 1, Queue: 1})
 	defer m.Close()
 
-	long, err := m.Submit(hogSpec(1, 200000))
+	long, err := m.Submit(hogSpec(1, 800000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,7 +446,7 @@ func TestManagerSlowFollowerGetsGap(t *testing.T) {
 	m := NewManager(Config{Workers: 1, FollowLimit: 4})
 	defer m.Close()
 
-	j, err := m.Submit(hogSpec(5, 200000))
+	j, err := m.Submit(hogSpec(5, 800000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -506,7 +511,7 @@ func TestManagerCloseClosesFollowers(t *testing.T) {
 
 	var chans []<-chan Message
 	for i := 0; i < 3; i++ {
-		j, err := m.Submit(hogSpec(uint64(20+i), 200000))
+		j, err := m.Submit(hogSpec(uint64(20+i), 800000))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -639,7 +644,7 @@ func TestManagerDrain(t *testing.T) {
 	m := NewManager(Config{Workers: 1})
 	defer m.Close()
 
-	j, err := m.Submit(hogSpec(1, 200000))
+	j, err := m.Submit(hogSpec(1, 800000))
 	if err != nil {
 		t.Fatal(err)
 	}

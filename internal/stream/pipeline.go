@@ -15,7 +15,10 @@ type PipelineConfig struct {
 	// Window is the default observation window; its NFeatures guards
 	// against metric-set drift between training and serving. Excluded
 	// from JSON (the model is not serializable); a journaled spec keeps
-	// only the scalar pipeline knobs.
+	// only the scalar pipeline knobs. A window's confidence is the
+	// winning class's vote share when Detector.Model has
+	// VotesInto(dst, x []float64) []float64 (ml.Forest does); any other
+	// model is classified by Predict alone and reports confidence 1.
 	Detector *diagnose.Detector `json:"-"`
 	// Nodes are the node IDs to watch (default: node 0 only).
 	Nodes []int
@@ -36,9 +39,13 @@ type PipelineConfig struct {
 }
 
 // voter is implemented by classifiers that expose per-class vote shares
-// (the random forest); it upgrades predictions with a confidence.
+// (the random forest); it upgrades predictions with a confidence. The
+// shares are written into dst, which the pipeline reuses across windows.
+// This is the only shape the pipeline looks for: a model that exposes
+// shares some other way (a Votes(x) method, say) does not satisfy it and
+// falls back, without an error, to Predict at confidence 1.
 type voter interface {
-	Votes(x []float64) []float64
+	VotesInto(dst, x []float64) []float64
 }
 
 // Pipeline turns a monitor sample stream into classified windows and
@@ -49,12 +56,17 @@ type Pipeline struct {
 	votes voter // nil when the model has no vote shares
 	nodes map[int]*nodeState
 	err   error
+
+	// Reused by every window of every node: classify runs to completion
+	// on one goroutine and nothing it calls keeps the slices.
+	extract  features.Scratch
+	featBuf  []float64
+	votesBuf []float64
 }
 
 // nodeState is one watched node's ring-buffered window over the metric
 // stream: rings[m] holds the last winN samples of metric m.
 type nodeState struct {
-	names   []string
 	rings   [][]float64
 	rows    [][]float64 // scratch: chronological copy handed to features
 	head    int         // next write position == oldest sample when full
@@ -131,7 +143,6 @@ func (p *Pipeline) newNodeState(s monitor.Sample) *nodeState {
 		strideN = 1
 	}
 	st := &nodeState{
-		names:   s.Names,
 		rings:   make([][]float64, len(s.Values)),
 		rows:    make([][]float64, len(s.Values)),
 		winN:    winN,
@@ -163,15 +174,16 @@ func (p *Pipeline) classify(nodeID int, st *nodeState) {
 	}
 
 	start := time.Now()
-	vec := features.ExtractRows(st.names, st.rows)
+	x := p.extract.AppendRows(p.featBuf[:0], st.rows)
+	p.featBuf = x
 	if p.cfg.Telemetry != nil {
 		p.cfg.Telemetry.ExtractNanos.Add(time.Since(start).Nanoseconds())
 	}
 
 	det := p.cfg.Detector
-	if det.NFeatures > 0 && len(vec.Values) != det.NFeatures {
+	if det.NFeatures > 0 && len(x) != det.NFeatures {
 		p.err = fmt.Errorf("stream: window has %d features, model expects %d (metric sets differ)",
-			len(vec.Values), det.NFeatures)
+			len(x), det.NFeatures)
 		return
 	}
 
@@ -179,11 +191,11 @@ func (p *Pipeline) classify(nodeID int, st *nodeState) {
 	var k int
 	conf := 1.0
 	if p.votes != nil {
-		votes := p.votes.Votes(vec.Values)
-		k = argmax(votes)
-		conf = votes[k]
+		p.votesBuf = p.votes.VotesInto(p.votesBuf[:0], x)
+		k = argmax(p.votesBuf)
+		conf = p.votesBuf[k]
 	} else {
-		k = det.Model.Predict(vec.Values)
+		k = det.Model.Predict(x)
 	}
 	if p.cfg.Telemetry != nil {
 		p.cfg.Telemetry.PredictNanos.Add(time.Since(start).Nanoseconds())
@@ -206,10 +218,12 @@ func (p *Pipeline) classify(nodeID int, st *nodeState) {
 	st.sum.Observe(w)
 }
 
-// Flush closes every node's open anomaly event; call once the run ends.
+// Flush closes every node's open anomaly event, in cfg.Nodes order so
+// the trailing event frames of two runs of one spec are identical; call
+// once the run ends.
 func (p *Pipeline) Flush() {
-	for _, st := range p.nodes {
-		if st != nil {
+	for _, n := range p.cfg.Nodes {
+		if st := p.nodes[n]; st != nil {
 			st.sum.Flush()
 		}
 	}

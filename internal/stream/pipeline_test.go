@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"slices"
 	"testing"
 
 	"hpas/internal/diagnose"
@@ -21,11 +22,11 @@ func (c meanThreshold) Predict(x []float64) int {
 	}
 	return 0
 }
-func (c meanThreshold) Votes(x []float64) []float64 {
+func (c meanThreshold) VotesInto(dst, x []float64) []float64 {
 	if x[0] > c.thresh {
-		return []float64{0.25, 0.75}
+		return append(dst[:0], 0.25, 0.75)
 	}
-	return []float64{1, 0}
+	return append(dst[:0], 1, 0)
 }
 
 func stubDetector(window float64) *diagnose.Detector {
@@ -169,5 +170,38 @@ func TestPipelineConfigValidation(t *testing.T) {
 	det := stubDetector(0) // no window on detector or config
 	if _, err := NewPipeline(PipelineConfig{Detector: det, Emit: func(Message) {}}); err == nil {
 		t.Error("non-positive window accepted")
+	}
+}
+
+// Events still open when the run ends close in cfg.Nodes order, so two
+// runs of one spec end in identical frames (Flush used to range over a
+// map, and two nodes' trailing events swapped from run to run).
+func TestPipelineFlushClosesEventsInNodeOrder(t *testing.T) {
+	for _, nodes := range [][]int{{0, 1, 2}, {2, 0, 1}} {
+		for run := 0; run < 20; run++ {
+			var tail []int
+			p, err := NewPipeline(PipelineConfig{
+				Detector: stubDetector(5),
+				Nodes:    nodes,
+				Emit: func(m Message) {
+					if m.Type == "event" {
+						tail = append(tail, m.Event.Node)
+					}
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, n := range []int{1, 2, 0} { // arrival order is not flush order
+				feed(p, n, 100, 10, 0) // hog until the end of the run
+			}
+			if len(tail) != 0 {
+				t.Fatalf("events closed before Flush: %v", tail)
+			}
+			p.Flush()
+			if !slices.Equal(tail, nodes) {
+				t.Fatalf("run %d: trailing events for nodes %v, want %v", run, tail, nodes)
+			}
+		}
 	}
 }

@@ -34,9 +34,9 @@ type Store interface {
 // journal.Recover). Pass the recovered set to Manager.Reopen before the
 // manager accepts new submissions.
 //
-// The campaign result (full metric traces) is not persisted: a recovered
-// job replays its status, events, and message stream byte-identically,
-// but Job.Result reports nil.
+// A recovered job replays its status, events, and message stream
+// byte-identically. The campaign result (full metric traces) is kept
+// nowhere, in memory or on disk: the stream is a job's whole output.
 type RecoveredJob struct {
 	ID       string
 	Spec     JobSpec

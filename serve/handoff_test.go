@@ -61,7 +61,7 @@ func getHandoff(t *testing.T, ts *httptest.Server, id string, from int) ([]byte,
 // reaches a terminal state (cancellation counts), then exports.
 func TestServeHandoffGetRequiresTerminalState(t *testing.T) {
 	ts, mgr := newTestServer(t)
-	id := submit(t, ts, `{"seed":9,"duration":200000,"window":10}`)
+	id := submit(t, ts, `{"seed":9,"duration":800000,"window":10}`)
 
 	if _, _, code := getHandoff(t, ts, id, 0); code != http.StatusConflict {
 		t.Fatalf("handoff of a live job = %d, want 409", code)

@@ -212,7 +212,7 @@ func TestServeSSEAndCancel(t *testing.T) {
 	ts, _ := newTestServer(t)
 
 	// A run long enough to cancel mid-flight.
-	id := submit(t, ts, `{"seed":3,"duration":200000,"window":10}`)
+	id := submit(t, ts, `{"seed":3,"duration":800000,"window":10}`)
 
 	req, _ := http.NewRequest("GET", ts.URL+"/v1/jobs/"+id+"/stream", nil)
 	req.Header.Set("Accept", "text/event-stream")

@@ -68,7 +68,7 @@ func TestServeSSEResumeInsideGapSkippedRegion(t *testing.T) {
 	ts, mgr := newGappyServer(t)
 
 	// Effectively endless job: windows keep coming until cancelled.
-	id := submit(t, ts, `{"seed":9,"duration":200000,"window":10}`)
+	id := submit(t, ts, `{"seed":9,"duration":800000,"window":10}`)
 	waitForHead(t, mgr, id, 10)
 
 	// Resume from index 4 of a live job whose head is ≥10 with follow
