@@ -82,6 +82,38 @@ func BenchmarkDatasetRun(b *testing.B) {
 	}
 }
 
+// BenchmarkDatasetRow measures one row of the shape the repository's
+// benchmark generates on its paper-diagnosis workload (a 30 s window of
+// which 6 s warm up, 4 nodes × 32 ranks, 300 ticks), cycling over its
+// two applications and the six diagnosis classes with fixed seeds, and
+// reports allocations: the tick kernel's number under plain
+// `go test -bench`, without the benchmark module.
+func BenchmarkDatasetRow(b *testing.B) {
+	var rows []hpas.DatasetConfig
+	for _, app := range []string{"CoMD", "miniGhost"} {
+		for _, class := range hpas.DiagnosisClasses() {
+			rows = append(rows, hpas.DatasetConfig{
+				Apps:    []string{app},
+				Classes: []string{class},
+				Window:  30,
+				Warmup:  6,
+				Seed:    uint64(len(rows) + 1),
+			})
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ds, err := hpas.GenerateDataset(rows[i%len(rows)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(ds.X) != 1 {
+			b.Fatalf("got %d rows, want 1", len(ds.X))
+		}
+	}
+}
+
 func BenchmarkMotivationVariability(b *testing.B) { benchExperiment(b, "variability") }
 func BenchmarkAblationRouting(b *testing.B)       { benchExperiment(b, "ablation-routing") }
 func BenchmarkAblationRebalance(b *testing.B)     { benchExperiment(b, "ablation-rebalance") }

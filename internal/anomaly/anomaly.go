@@ -408,6 +408,7 @@ type NetOccupy struct {
 	MessageSize      units.ByteSize // default 100 MB
 	Rate             float64        // messages/s; 0 = as fast as possible
 	flow             netsim.Flow
+	flows            [1]*netsim.Flow // what Flows returns: &flow, without a slice per tick
 	killed           bool
 }
 
@@ -445,7 +446,8 @@ func (a *NetOccupy) Flows(now float64) []*netsim.Flow {
 		demand = float64(a.MessageSize) * a.Rate
 	}
 	a.flow = netsim.Flow{Src: a.SrcNode, Dst: a.DstNode, Demand: demand}
-	return []*netsim.Flow{&a.flow}
+	a.flows[0] = &a.flow
+	return a.flows[:]
 }
 
 // Granted returns the bytes/s the anomaly achieved last tick.

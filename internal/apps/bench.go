@@ -76,9 +76,10 @@ type OSU struct {
 	Latency          float64 // per-message software+wire latency, seconds
 	PeakBW           float64 // the NIC's large-message ceiling, bytes/s
 
-	flow netsim.Flow
-	sum  float64
-	n    int
+	flow  netsim.Flow
+	flows [1]*netsim.Flow // what Flows returns: &flow, without a slice per tick
+	sum   float64
+	n     int
 }
 
 // NewOSU returns an OSU bandwidth test for the given message size.
@@ -105,7 +106,8 @@ func (o *OSU) Demand(now float64) node.Demand {
 // Flows implements cluster.FlowSource.
 func (o *OSU) Flows(now float64) []*netsim.Flow {
 	o.flow = netsim.Flow{Src: o.SrcNode, Dst: o.DstNode, Demand: o.offeredRate()}
-	return []*netsim.Flow{&o.flow}
+	o.flows[0] = &o.flow
+	return o.flows[:]
 }
 
 // Advance implements node.Proc.

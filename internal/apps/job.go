@@ -63,7 +63,8 @@ type Rank struct {
 	index  int
 	nodeID int
 	flow   netsim.Flow
-	peer   int // destination node for halo exchange, -1 for none
+	flows  [1]*netsim.Flow // what Flows returns: &flow, without a slice per tick
+	peer   int             // destination node for halo exchange, -1 for none
 
 	lastIPS  float64
 	lastRate float64 // granted network bytes/s
@@ -175,7 +176,7 @@ func (r *Rank) Done() bool { return r.job.done || r.killed }
 
 // Demand implements node.Proc.
 func (r *Rank) Demand(now float64) node.Demand {
-	p := r.job.Profile
+	p := &r.job.Profile
 	return node.Demand{
 		CPU:        1,
 		WorkingSet: p.WorkingSet,
@@ -191,7 +192,7 @@ func (r *Rank) Flows(now float64) []*netsim.Flow {
 	if r.peer < 0 || r.killed || r.job.done {
 		return nil
 	}
-	p := r.job.Profile
+	p := &r.job.Profile
 	// Offer the exchange at a rate that would make communication take
 	// about 10% of the compute time, bounded below by last tick's
 	// achieved IPS — a simple model of MPI pipelining.
@@ -201,7 +202,8 @@ func (r *Rank) Flows(now float64) []*netsim.Flow {
 	}
 	demand := p.MsgBytesPerIter * ips / p.InstrPerIter * 10
 	r.flow = netsim.Flow{Src: r.nodeID, Dst: r.peer, Demand: demand}
-	return []*netsim.Flow{&r.flow}
+	r.flows[0] = &r.flow
+	return r.flows[:]
 }
 
 // Advance implements node.Proc.
@@ -211,7 +213,7 @@ func (r *Rank) Advance(now, dt float64, g node.Grant) node.Usage {
 		r.job.rankKilled()
 		return node.Usage{}
 	}
-	p := r.job.Profile
+	p := &r.job.Profile
 	r.lastIPS = g.EffIPS(p.IPS, p.APKI)
 	r.lastRate = r.flow.Granted
 	r.job.rankArrived(now, dt)

@@ -23,7 +23,9 @@ import (
 // FlowSource is a process that injects traffic into the interconnect.
 // Flows returns the process's active flows with node-id endpoints; the
 // cluster resolves them max-min fairly before Advance runs, so the
-// process can read Flow.Granted during Advance.
+// process can read Flow.Granted during Advance. The returned slice is
+// read before the next call to Flows and not kept, so an implementation
+// may return the same one every tick.
 type FlowSource interface {
 	node.Proc
 	Flows(now float64) []*netsim.Flow

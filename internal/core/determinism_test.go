@@ -9,36 +9,89 @@ import (
 
 	"hpas/internal/cluster"
 	"hpas/internal/monitor"
+	"hpas/internal/netsim"
 	"hpas/internal/trace"
 	"hpas/internal/units"
 )
 
-// goldenTraceDigest was computed by this test's code at the commit
-// before the node tick, the cluster tick and the monitor started
-// reusing their per-tick buffers. The reuse is an allocation change
-// only: it must not move one bit of one sample of any node's traces.
-const goldenTraceDigest = "1c780aa70a66c960e96e103dfa604daf81515b1fb98cce2d8bb8db2be8b38aa2"
+// The golden digests were computed by this test's code at the commit
+// before the change they guard (the first before the node tick, the
+// cluster tick and the monitor started reusing their per-tick buffers;
+// the two cross-switch ones before the network resolver dropped its
+// per-round map). Those are allocation and layout changes only: they
+// must not move one bit of one sample of any node's traces.
+const (
+	goldenTraceDigest          = "1c780aa70a66c960e96e103dfa604daf81515b1fb98cce2d8bb8db2be8b38aa2"
+	goldenCrossSwitchDigest    = "f6280afeec28f05f01ff891dc69cd2d1ce67694647f60ac832e1988310cde0ee"
+	goldenDragonflyTraceDigest = "8cf44c5002068b5458ff98c520c11a92384e1c0d5a4c07f01ea2b5ee136adc59"
+)
 
 func TestFixedSeedRunMatchesGoldenTraces(t *testing.T) {
-	// An app on every node plus one anomaly per contention pass the
-	// node resolves (CPU share and SMT, cache occupancy, memory
-	// bandwidth, memory growth), a network flow source and a
-	// filesystem client, so every reused buffer carries values.
-	cfg := RunConfig{
-		Cluster:      cluster.Voltrino(4),
-		App:          "CoMD",
-		FixedSeconds: 40,
-		MemBWCounter: true,
-		Seed:         11,
+	// One node per switch (Voltrino attaches four), so every halo flow
+	// takes the direct link plus Valiant spreading over the ten other
+	// switches. Three elastic netoccupy pairs between the same two
+	// switches saturate their direct link, which the halo flows cross as
+	// a Valiant hop, so the routing weights reach the traces; a rated
+	// pair and a filesystem client ride along.
+	crossSwitch := RunConfig{
+		Cluster:      cluster.Voltrino(16),
+		App:          "miniGhost",
+		AppNodes:     []int{0, 4, 8, 12},
+		FixedSeconds: 30,
+		Seed:         13,
 		Anomalies: []Spec{
-			{Name: "cpuoccupy", Node: 0, CPU: 0, Start: 5, End: 30, Intensity: 90},
-			{Name: "cachecopy", Node: 1, CPU: 1, Start: 8, End: 35},
-			{Name: "membw", Node: 2, CPU: 2, Start: 3, End: 25, Count: 4},
-			{Name: "memleak", Node: 3, CPU: -1, Start: 10, Size: 512 * units.MiB},
-			{Name: "netoccupy", Node: 0, CPU: -1, Peer: 2, Start: 12, End: 33},
-			{Name: "iobandwidth", Node: 1, CPU: -1, Start: 15, End: 38, Count: 2},
+			{Name: "netoccupy", Node: 1, CPU: -1, Peer: 9, Start: 4, End: 25},
+			{Name: "netoccupy", Node: 2, CPU: -1, Peer: 10, Start: 6},
+			{Name: "netoccupy", Node: 3, CPU: -1, Peer: 11, Start: 8, End: 27},
+			{Name: "netoccupy", Node: 5, CPU: -1, Peer: 12, Start: 9, Intensity: 20},
+			{Name: "iobandwidth", Node: 4, CPU: -1, Start: 6, End: 28, Count: 2},
 		},
 	}
+	// The same run on a dragonfly of four groups of two switches of two
+	// nodes: the app nodes sit in four different groups, so every halo
+	// flow is routed over local hops and global links.
+	dragonfly := crossSwitch
+	dragonfly.Cluster.Net = netsim.Dragonfly(4, 2, 2)
+
+	for _, tc := range []struct {
+		name   string
+		cfg    RunConfig
+		golden string
+	}{
+		// An app on every node plus one anomaly per contention pass the
+		// node resolves (CPU share and SMT, cache occupancy, memory
+		// bandwidth, memory growth), a network flow source and a
+		// filesystem client, so every reused buffer carries values.
+		{"one switch", RunConfig{
+			Cluster:      cluster.Voltrino(4),
+			App:          "CoMD",
+			FixedSeconds: 40,
+			MemBWCounter: true,
+			Seed:         11,
+			Anomalies: []Spec{
+				{Name: "cpuoccupy", Node: 0, CPU: 0, Start: 5, End: 30, Intensity: 90},
+				{Name: "cachecopy", Node: 1, CPU: 1, Start: 8, End: 35},
+				{Name: "membw", Node: 2, CPU: 2, Start: 3, End: 25, Count: 4},
+				{Name: "memleak", Node: 3, CPU: -1, Start: 10, Size: 512 * units.MiB},
+				{Name: "netoccupy", Node: 0, CPU: -1, Peer: 2, Start: 12, End: 33},
+				{Name: "iobandwidth", Node: 1, CPU: -1, Start: 15, End: 38, Count: 2},
+			},
+		}, goldenTraceDigest},
+		{"one node per switch", crossSwitch, goldenCrossSwitchDigest},
+		{"dragonfly groups", dragonfly, goldenDragonflyTraceDigest},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := traceDigest(t, tc.cfg); got != tc.golden {
+				t.Errorf("trace digest = %s, want %s: the simulation or the monitor changed its output", got, tc.golden)
+			}
+		})
+	}
+}
+
+// traceDigest runs cfg and hashes every tap sample, the duration and
+// every node's trace set, bit for bit.
+func traceDigest(t *testing.T, cfg RunConfig) string {
+	t.Helper()
 	h := sha256.New()
 	put := func(v float64) {
 		var b [8]byte
@@ -58,8 +111,8 @@ func TestFixedSeedRunMatchesGoldenTraces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if samples != 4*40 {
-		t.Fatalf("tap saw %d samples, want %d", samples, 4*40)
+	if want := cfg.Cluster.Nodes * int(cfg.FixedSeconds); samples != want {
+		t.Fatalf("tap saw %d samples, want %d", samples, want)
 	}
 	put(res.Duration)
 	for _, set := range res.Metrics {
@@ -70,7 +123,5 @@ func TestFixedSeedRunMatchesGoldenTraces(t *testing.T) {
 			}
 		})
 	}
-	if got := hex.EncodeToString(h.Sum(nil)); got != goldenTraceDigest {
-		t.Errorf("trace digest = %s, want %s: the simulation or the monitor changed its output", got, goldenTraceDigest)
-	}
+	return hex.EncodeToString(h.Sum(nil))
 }

@@ -3,7 +3,7 @@ package ml
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"hpas/internal/xrand"
 )
@@ -27,6 +27,19 @@ type Tree struct {
 	root       *treeNode
 	classes    int
 	importance []float64 // per-feature total impurity decrease
+
+	// bestSplit's scratch, held for the duration of a fit: a node's split
+	// search ends before its children's begin, so the whole tree shares
+	// one set.
+	feats      []int // 0..nf-1, the features considered when MTry is off
+	pairs      []valueRow
+	leftCounts []float64
+}
+
+// valueRow is one sample's value of the feature being scanned.
+type valueRow struct {
+	v float64
+	i int // row index
 }
 
 type treeNode struct {
@@ -75,8 +88,15 @@ func (t *Tree) FitWeighted(ds *Dataset, idx []int, weights []float64) error {
 	}
 	t.classes = ds.NumClasses()
 	t.importance = make([]float64, ds.NumFeatures())
+	t.feats = make([]int, ds.NumFeatures())
+	for i := range t.feats {
+		t.feats[i] = i
+	}
+	t.pairs = make([]valueRow, len(idx))
+	t.leftCounts = make([]float64, t.classes)
 	rng := xrand.New(t.opts.Seed + 0x5eed)
 	t.root = t.build(ds, idx, weights, 0, rng)
+	t.feats, t.pairs, t.leftCounts = nil, nil, nil // a fitted tree keeps no scratch
 	return nil
 }
 
@@ -139,41 +159,35 @@ func (t *Tree) build(ds *Dataset, idx []int, w []float64, depth int, rng *xrand.
 // bestSplit finds the weighted-Gini-optimal (feature, threshold) over the
 // considered features.
 func (t *Tree) bestSplit(ds *Dataset, idx []int, w []float64, counts []float64, total float64, rng *xrand.RNG) (feat int, thr, gain float64, ok bool) {
-	nf := ds.NumFeatures()
-	feats := make([]int, nf)
-	for i := range feats {
-		feats[i] = i
-	}
-	if t.opts.MTry > 0 && t.opts.MTry < nf {
-		perm := rng.Perm(nf)
-		feats = perm[:t.opts.MTry]
-		sort.Ints(feats) // deterministic evaluation order
+	feats := t.feats
+	if nf := len(feats); t.opts.MTry > 0 && t.opts.MTry < nf {
+		feats = rng.Perm(nf)[:t.opts.MTry]
+		slices.Sort(feats) // deterministic evaluation order
 	}
 
 	parent := gini(counts, total)
 	bestGain := 1e-12
 	bestFeat, bestThr := -1, 0.0
 
-	type pair struct {
-		v float64
-		i int
-	}
-	pairs := make([]pair, len(idx))
-	leftCounts := make([]float64, t.classes)
+	pairs, leftCounts := t.pairs[:len(idx)], t.leftCounts
 
 	for _, f := range feats {
 		for k, i := range idx {
-			pairs[k] = pair{ds.X[i][f], i}
+			pairs[k] = valueRow{ds.X[i][f], i}
 		}
-		sort.Slice(pairs, func(a, b int) bool {
-			if pairs[a].v != pairs[b].v {
-				return pairs[a].v < pairs[b].v
+		// Value, then row index: a total order (a bootstrap's repeated
+		// rows are identical pairs), so the sorted permutation does not
+		// depend on the sorting algorithm.
+		slices.SortFunc(pairs, func(a, b valueRow) int {
+			if a.v != b.v {
+				if a.v < b.v {
+					return -1
+				}
+				return 1
 			}
-			return pairs[a].i < pairs[b].i
+			return a.i - b.i
 		})
-		for c := range leftCounts {
-			leftCounts[c] = 0
-		}
+		clear(leftCounts)
 		var leftTotal float64
 		for k := 0; k < len(pairs)-1; k++ {
 			i := pairs[k].i

@@ -115,7 +115,7 @@ func TestDragonflyNoOversubscription(t *testing.T) {
 		if f.Granted == 0 || f.Src == f.Dst {
 			continue
 		}
-		for _, u := range nw.route(f) {
+		for _, u := range nw.route(f, nil) {
 			load[u.link] += u.weight * f.Granted
 		}
 	}

@@ -84,10 +84,25 @@ type Network struct {
 	swBase   int
 	glBase   int
 
-	// per-Resolve scratch
-	remaining []float64
-	injected  []float64 // bytes/s currently injected per node (for counters)
-	ejected   []float64
+	injected []float64 // bytes/s currently injected per node (for counters)
+	ejected  []float64
+
+	// Resolve's scratch, reused across calls so a steady-state Resolve
+	// allocates nothing. Nothing in it carries over between calls.
+	remaining []float64   // capacity left per link
+	states    []flowState // one per routable flow, in flow order
+	uses      []use       // every state's fractional route, back to back
+	weight    []float64   // per link: summed weight of the active flows; all zero between rounds
+	touched   []int       // the links with a non-zero weight this round
+}
+
+// flowState is one routable flow during progressive filling; its
+// fractional route is Network.uses[lo:hi].
+type flowState struct {
+	flow   *Flow
+	lo, hi int
+	rate   float64
+	active bool
 }
 
 // New builds the network. It panics on a non-positive geometry.
@@ -106,13 +121,15 @@ func New(cfg Config) *Network {
 		nLinks += cfg.Groups * cfg.Groups
 	}
 	net := &Network{
-		cfg:      cfg,
-		capacity: make([]float64, nLinks),
-		nInj:     n,
-		swBase:   2 * n,
-		glBase:   glBase,
-		injected: make([]float64, n),
-		ejected:  make([]float64, n),
+		cfg:       cfg,
+		capacity:  make([]float64, nLinks),
+		nInj:      n,
+		swBase:    2 * n,
+		glBase:    glBase,
+		injected:  make([]float64, n),
+		ejected:   make([]float64, n),
+		remaining: make([]float64, nLinks),
+		weight:    make([]float64, nLinks),
 	}
 	for i := 0; i < n; i++ {
 		net.capacity[i] = cfg.NICBW   // injection
@@ -155,10 +172,10 @@ type use struct {
 	weight float64
 }
 
-// route returns the fractional link uses for a flow.
-func (nw *Network) route(f *Flow) []use {
+// route appends the fractional link uses of a flow to uses.
+func (nw *Network) route(f *Flow, uses []use) []use {
 	cfg := nw.cfg
-	uses := []use{{f.Src, 1}, {nw.nInj + f.Dst, 1}}
+	uses = append(uses, use{f.Src, 1}, use{nw.nInj + f.Dst, 1})
 	sa, sb := cfg.SwitchOf(f.Src), cfg.SwitchOf(f.Dst)
 	if sa == sb {
 		return uses
@@ -192,23 +209,12 @@ func (nw *Network) route(f *Flow) []use {
 // writes each flow's Granted field. Flows with non-positive demand get 0.
 // It also records the per-node injected/ejected rates for NIC counters.
 func (nw *Network) Resolve(flows []*Flow) {
-	if cap(nw.remaining) < len(nw.capacity) {
-		nw.remaining = make([]float64, len(nw.capacity))
-	}
-	rem := nw.remaining[:len(nw.capacity)]
+	rem := nw.remaining
 	copy(rem, nw.capacity)
-	for i := range nw.injected {
-		nw.injected[i] = 0
-		nw.ejected[i] = 0
-	}
+	clear(nw.injected)
+	clear(nw.ejected)
 
-	type state struct {
-		flow   *Flow
-		uses   []use
-		rate   float64
-		active bool
-	}
-	states := make([]state, 0, len(flows))
+	states, uses := nw.states[:0], nw.uses[:0]
 	for _, f := range flows {
 		f.Granted = 0
 		if f.Demand <= 0 {
@@ -217,32 +223,43 @@ func (nw *Network) Resolve(flows []*Flow) {
 		if f.Src == f.Dst || f.Src < 0 || f.Dst < 0 || f.Src >= nw.nInj || f.Dst >= nw.nInj {
 			continue
 		}
-		states = append(states, state{flow: f, uses: nw.route(f), active: true})
+		lo := len(uses)
+		uses = nw.route(f, uses)
+		states = append(states, flowState{flow: f, lo: lo, hi: len(uses), active: true})
 	}
+	nw.states, nw.uses = states, uses
 
 	// Progressive filling: raise all active flows' rates by the largest
 	// uniform increment no link or demand permits exceeding, then retire
 	// saturated flows. Each iteration retires at least one flow or link,
 	// so this terminates in O(flows + links) rounds.
 	const eps = 1e-6
+	weight := nw.weight
 	for {
-		// Weighted active count per link.
+		// Weighted active count per link, summed in flow order.
 		nActive := 0
-		linkWeight := make(map[int]float64)
+		touched := nw.touched[:0]
 		for i := range states {
-			if !states[i].active {
+			st := &states[i]
+			if !st.active {
 				continue
 			}
 			nActive++
-			for _, u := range states[i].uses {
-				linkWeight[u.link] += u.weight
+			for _, u := range uses[st.lo:st.hi] {
+				if weight[u.link] == 0 {
+					touched = append(touched, u.link)
+				}
+				weight[u.link] += u.weight
 			}
 		}
+		nw.touched = touched
 		if nActive == 0 {
 			break
 		}
 		delta := math.Inf(1)
-		for link, w := range linkWeight {
+		for _, link := range touched {
+			w := weight[link]
+			weight[link] = 0 // all zero again for the next round, and on return
 			if w > 0 {
 				if d := rem[link] / w; d < delta {
 					delta = d
@@ -261,28 +278,30 @@ func (nw *Network) Resolve(flows []*Flow) {
 		}
 		// Apply the increment.
 		for i := range states {
-			if !states[i].active {
+			st := &states[i]
+			if !st.active {
 				continue
 			}
-			states[i].rate += delta
-			for _, u := range states[i].uses {
+			st.rate += delta
+			for _, u := range uses[st.lo:st.hi] {
 				rem[u.link] -= delta * u.weight
 			}
 		}
 		// Retire demand-satisfied flows and flows on saturated links.
 		progressed := false
 		for i := range states {
-			if !states[i].active {
+			st := &states[i]
+			if !st.active {
 				continue
 			}
-			if states[i].rate >= states[i].flow.Demand-eps {
-				states[i].active = false
+			if st.rate >= st.flow.Demand-eps {
+				st.active = false
 				progressed = true
 				continue
 			}
-			for _, u := range states[i].uses {
+			for _, u := range uses[st.lo:st.hi] {
 				if u.weight > 0 && rem[u.link] <= eps {
-					states[i].active = false
+					st.active = false
 					progressed = true
 					break
 				}

@@ -188,7 +188,7 @@ func TestNoOversubscriptionProperty(t *testing.T) {
 			if fl.Granted == 0 {
 				continue
 			}
-			for _, u := range nw.route(fl) {
+			for _, u := range nw.route(fl, nil) {
 				load[u.link] += u.weight * fl.Granted
 			}
 		}

@@ -3,6 +3,7 @@ package node
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"hpas/internal/units"
 	"hpas/internal/xrand"
@@ -126,11 +127,16 @@ type Counters struct {
 type placement struct {
 	proc Proc
 	cpu  int
-	res  units.ByteSize // resident bytes last tick, for pgfault accounting
+	// the cpu's physical core, socket and SMT sibling, recorded by Place
+	// so the resolve passes do not call (and copy) the MachineSpec
+	core, socket, sibling int
+	res                   units.ByteSize // resident bytes last tick, for pgfault accounting
 }
 
 // Node is one simulated compute node.
 type Node struct {
+	// Spec is the node's hardware. It is read-only after New: placements
+	// cache the topology derived from it.
 	Spec MachineSpec
 	ID   int
 
@@ -167,7 +173,10 @@ func (n *Node) Place(proc Proc, cpu int) {
 	if cpu < 0 || cpu >= n.Spec.Threads() {
 		panic(fmt.Sprintf("node: cpu %d out of range [0,%d)", cpu, n.Spec.Threads()))
 	}
-	n.procs = append(n.procs, &placement{proc: proc, cpu: cpu})
+	n.procs = append(n.procs, &placement{
+		proc: proc, cpu: cpu,
+		core: n.Spec.CoreOf(cpu), socket: n.Spec.SocketOf(cpu), sibling: n.Spec.Sibling(cpu),
+	})
 }
 
 func (n *Node) leastLoadedCPU() int {
@@ -188,7 +197,9 @@ func (n *Node) leastLoadedCPU() int {
 func (n *Node) Remove(proc Proc) {
 	for i, p := range n.procs {
 		if p.proc == proc {
-			n.procs = append(n.procs[:i], n.procs[i+1:]...)
+			// Delete nils the vacated tail slot, so the removed proc
+			// (and the job it points to) can be collected.
+			n.procs = slices.Delete(n.procs, i, i+1)
 			return
 		}
 	}
@@ -287,6 +298,7 @@ func (n *Node) Tick(now, dt float64) {
 			kept = append(kept, p)
 		}
 	}
+	clear(n.procs[len(kept):]) // let the finished procs be collected
 	n.procs = kept
 }
 
@@ -305,8 +317,7 @@ func (n *Node) resolveCPU(demands []Demand, grants []Grant) {
 			share = demands[i].CPU / td
 		}
 		grants[i].CPUShare = share
-		sib := spec.Sibling(p.cpu)
-		if sib != p.cpu && threadDemand[sib] > 0.05 {
+		if p.sibling != p.cpu && threadDemand[p.sibling] > 0.05 {
 			grants[i].SMT = spec.SMTFactor
 		}
 	}
@@ -322,8 +333,8 @@ func (n *Node) resolveCache(demands []Demand, grants []Grant) {
 	sockWS := zeroed(&n.sockWS, spec.Sockets)
 	for i, p := range n.procs {
 		ws := float64(demands[i].WorkingSet)
-		coreWS[spec.CoreOf(p.cpu)] += ws
-		sockWS[spec.SocketOf(p.cpu)] += ws
+		coreWS[p.core] += ws
+		sockWS[p.socket] += ws
 	}
 	for i, p := range n.procs {
 		ws := float64(demands[i].WorkingSet)
@@ -331,11 +342,9 @@ func (n *Node) resolveCache(demands []Demand, grants []Grant) {
 			grants[i].CovL1, grants[i].CovL2, grants[i].CovL3 = 1, 1, 1
 			continue
 		}
-		core := spec.CoreOf(p.cpu)
-		sock := spec.SocketOf(p.cpu)
-		c1 := coverage(ws, coreWS[core], float64(spec.L1))
-		c2 := coverage(ws, coreWS[core], float64(spec.L2))
-		c3 := coverage(ws, sockWS[sock], float64(spec.L3))
+		c1 := coverage(ws, coreWS[p.core], float64(spec.L1))
+		c2 := coverage(ws, coreWS[p.core], float64(spec.L2))
+		c3 := coverage(ws, sockWS[p.socket], float64(spec.L3))
 		if c2 < c1 {
 			c2 = c1
 		}
@@ -367,7 +376,7 @@ func (n *Node) resolveMemBW(demands []Demand, grants []Grant) {
 	sockDemand := zeroed(&n.sockDemand, spec.Sockets)
 	bwDemand := zeroed(&n.bwDemand, len(n.procs))
 	for i, p := range n.procs {
-		d := demands[i]
+		d := &demands[i]
 		ips := d.IPS
 		if ips <= 0 || ips > spec.ClockHz {
 			ips = spec.ClockHz
@@ -376,7 +385,7 @@ func (n *Node) resolveMemBW(demands []Demand, grants []Grant) {
 		// sustain given its cache misses (BWFrac=1 first-pass CPI):
 		// without the stall correction, cache-hungry processes would
 		// appear to demand memory bandwidth they can never generate.
-		g := grants[i]
+		g := &grants[i]
 		fL2 := g.CovL2 - g.CovL1
 		fL3 := g.CovL3 - g.CovL2
 		fMem := 1 - g.CovL3
@@ -384,13 +393,12 @@ func (n *Node) resolveMemBW(demands []Demand, grants []Grant) {
 		missRate := ips / cpi * d.APKI / 1000 * fMem
 		bw := d.StreamBW + missRate*CacheLine
 		bwDemand[i] = bw
-		sockDemand[spec.SocketOf(p.cpu)] += bw * g.CPUEff()
+		sockDemand[p.socket] += bw * g.CPUEff()
 	}
+	capBW := float64(spec.MemBWPerSocket)
 	for i, p := range n.procs {
-		sock := spec.SocketOf(p.cpu)
-		capBW := float64(spec.MemBWPerSocket)
-		if sockDemand[sock] > capBW && bwDemand[i] > 0 {
-			grants[i].BWFrac = capBW / sockDemand[sock]
+		if sockDemand[p.socket] > capBW && bwDemand[i] > 0 {
+			grants[i].BWFrac = capBW / sockDemand[p.socket]
 		}
 	}
 }

@@ -93,6 +93,9 @@ func TestPlaceRemove(t *testing.T) {
 	if n.NumProcs() != 1 || n.CPUOf(a) != -1 {
 		t.Error("Remove failed")
 	}
+	if tail := n.procs[:2][1]; tail != nil {
+		t.Error("Remove left the vacated slot pointing at a placement; the removed proc cannot be collected")
+	}
 	n.Remove(a) // no-op
 }
 
@@ -325,6 +328,9 @@ func TestDoneProcsRemoved(t *testing.T) {
 	n.Tick(0.1, 0.1)
 	if n.NumProcs() != 0 {
 		t.Error("done process not removed")
+	}
+	if tail := n.procs[:1][0]; tail != nil {
+		t.Error("Tick left the vacated slot pointing at a placement; the finished proc cannot be collected")
 	}
 }
 

@@ -79,6 +79,8 @@ type Server struct {
 	metaOpsServed float64
 	bytesRead     float64
 	bytesWritten  float64
+
+	grants []Grant // Resolve's return, reused across calls
 }
 
 // New returns a server with the given configuration. It panics on
@@ -94,15 +96,15 @@ func New(cfg Config) *Server {
 func (s *Server) Config() Config { return s.cfg }
 
 // Resolve serves the given demands for a dt-second tick and returns the
-// per-client grants, in the same order.
+// per-client grants, in the same order. The returned slice is the
+// server's own and valid until the next Resolve; a caller that keeps
+// grants longer copies them.
 //
 // Metadata: offered ops are admitted proportionally up to the service
 // rate. Data: the disk's effective bandwidth — reduced by stream
 // concurrency and, for shared-metadata servers, by disk time consumed by
 // metadata ops — is split proportionally to offered bytes.
 func (s *Server) Resolve(demands []Demand, dt float64) []Grant {
-	grants := make([]Grant, len(demands))
-
 	var totalMeta, totalData float64
 	streams := 0
 	for _, d := range demands {
@@ -147,16 +149,19 @@ func (s *Server) Resolve(demands []Demand, dt float64) []Grant {
 		dataFrac = diskBW / totalData
 	}
 
-	for i, d := range demands {
-		grants[i] = Grant{
+	grants := s.grants[:0]
+	for _, d := range demands {
+		g := Grant{
 			MetaOps: d.MetaOps * metaFrac,
 			Read:    d.Read * dataFrac,
 			Write:   d.Write * dataFrac,
 		}
-		s.metaOpsServed += grants[i].MetaOps * dt
-		s.bytesRead += grants[i].Read * dt
-		s.bytesWritten += grants[i].Write * dt
+		s.metaOpsServed += g.MetaOps * dt
+		s.bytesRead += g.Read * dt
+		s.bytesWritten += g.Write * dt
+		grants = append(grants, g)
 	}
+	s.grants = grants
 	return grants
 }
 

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"testing"
 
+	"hpas/internal/anomaly"
+	"hpas/internal/apps"
 	"hpas/internal/cluster"
 	"hpas/internal/diagnose"
 	"hpas/internal/features"
@@ -146,15 +148,16 @@ func (residentProc) Advance(_, dt float64, g node.Grant) node.Usage {
 
 func TestAllocBudgetSimulatorTick(t *testing.T) {
 	skipIfAllocCountsUnreliable(t)
+	now := 0.0
+	tick := func(tk func(now, dt float64)) func() {
+		return func() { tk(now, 0.1); now += 0.1 }
+	}
+
 	c := cluster.New(cluster.Voltrino(4))
 	for n := 0; n < c.NumNodes(); n++ {
 		for cpu := 0; cpu < 6; cpu++ {
 			c.Place(residentProc{}, n, cpu)
 		}
-	}
-	now := 0.0
-	tick := func(tk func(now, dt float64)) func() {
-		return func() { tk(now, 0.1); now += 0.1 }
 	}
 	nodeTick, clusterTick := tick(c.Node(0).Tick), tick(c.Tick)
 	nodeTick()
@@ -164,5 +167,25 @@ func TestAllocBudgetSimulatorTick(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, clusterTick); allocs != 0 {
 		t.Errorf("cluster.Tick over resident procs allocates %.1f per tick, want 0", allocs)
+	}
+
+	// The tick every paper figure runs: an application's 128 ranks with
+	// their halo flows, a network anomaly, a bandwidth benchmark pair
+	// and a filesystem client, so the network and the filesystem both
+	// have something to resolve.
+	app := cluster.New(cluster.Voltrino(4))
+	profile, ok := apps.ByName("CoMD")
+	if !ok {
+		t.Fatal("no CoMD profile")
+	}
+	profile.Iterations = 1 << 20 // never finishes inside the test
+	apps.Launch(app, profile, []int{0, 1, 2, 3}, app.Config().Machine.PhysCores())
+	app.Place(anomaly.NewNetOccupy(0, 2), 0, -1)
+	app.Place(apps.NewOSU(1, 3, 1<<20), 1, -1)
+	app.Place(anomaly.NewIOBandwidth(units.GiB, 2), 2, -1)
+	appTick := tick(app.Tick)
+	appTick()
+	if allocs := testing.AllocsPerRun(100, appTick); allocs != 0 {
+		t.Errorf("cluster.Tick with an application, network flows and a filesystem client allocates %.1f per tick, want 0", allocs)
 	}
 }
