@@ -1,7 +1,11 @@
 package stream
 
 import (
+	"context"
 	"fmt"
+	"os"
+	"runtime"
+	"strconv"
 	"testing"
 
 	"hpas/internal/anomaly"
@@ -187,5 +191,84 @@ func TestAllocBudgetSimulatorTick(t *testing.T) {
 	appTick()
 	if allocs := testing.AllocsPerRun(100, appTick); allocs != 0 {
 		t.Errorf("cluster.Tick with an application, network flows and a filesystem client allocates %.1f per tick, want 0", allocs)
+	}
+}
+
+// retainedPerJobBudget bounds what a finished, followed job keeps live:
+// its spec, log and a frame ring sized to its stream. A ring allocated
+// at its 256-slot cap up front keeps 16.8 KB per job; the growing ring
+// keeps 4.2 KB.
+const retainedPerJobBudget = 6 << 10
+
+// runFollowedJobs submits n short hog jobs one at a time and follows
+// each through FollowFramesFrom to its done frame, as a streaming
+// client does.
+func runFollowedJobs(t *testing.T, m *Manager, seed uint64, n int) {
+	t.Helper()
+	ctx := context.Background()
+	for i := 0; i < n; i++ {
+		j, err := m.Submit(hogSpec(seed+uint64(i), 30))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var last Frame
+		for f := range j.FollowFramesFrom(ctx, 0) {
+			last = f
+		}
+		if last.Type != "done" {
+			t.Fatalf("job %s stream ended on %q, want done", j.ID(), last.Type)
+		}
+	}
+}
+
+// liveHeap is HeapAlloc after two collections: the first may leave
+// finalizer-reachable garbage for the second.
+func liveHeap() int64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
+func TestRetainedHeapPerFinishedJob(t *testing.T) {
+	skipIfAllocCountsUnreliable(t)
+	const warm, jobs = 50, 2000
+	m := NewManager(Config{Workers: 1})
+	defer m.Close()
+	runFollowedJobs(t, m, 1, warm)
+	before := liveHeap()
+	runFollowedJobs(t, m, warm+1, jobs)
+	perJob := float64(liveHeap()-before) / jobs
+	t.Logf("retained %.0f B per finished, followed job", perJob)
+	if perJob > retainedPerJobBudget {
+		t.Fatalf("a finished, followed job retains %.0f B, budget %d", perJob, retainedPerJobBudget)
+	}
+}
+
+// TestRetentionSoak runs HPAS_SOAK_JOBS short followed jobs and checks
+// that the heap a job leaves behind does not grow with the number of
+// jobs already held: the second half's bytes per job must be within
+// 10 % of the first half's. Skipped unless HPAS_SOAK_JOBS is set.
+func TestRetentionSoak(t *testing.T) {
+	n, _ := strconv.Atoi(os.Getenv("HPAS_SOAK_JOBS"))
+	if n < 2 {
+		t.Skip("set HPAS_SOAK_JOBS to the number of jobs to soak")
+	}
+	skipIfAllocCountsUnreliable(t)
+	const warm = 50
+	half := n / 2
+	m := NewManager(Config{Workers: 1})
+	defer m.Close()
+	runFollowedJobs(t, m, 1, warm)
+	h0 := liveHeap()
+	runFollowedJobs(t, m, warm+1, half)
+	h1 := liveHeap()
+	runFollowedJobs(t, m, uint64(warm+1+half), half)
+	h2 := liveHeap()
+	first, second := float64(h1-h0)/float64(half), float64(h2-h1)/float64(half)
+	t.Logf("%d jobs: %.0f B per job over the first half, %.0f B over the second", 2*half, first, second)
+	if d := second - first; d > 0.1*first || d < -0.1*first {
+		t.Fatalf("retained bytes per job moved %.0f → %.0f B between halves, more than 10 %%", first, second)
 	}
 }

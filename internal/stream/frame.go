@@ -53,19 +53,38 @@ type Frame struct {
 // source of truth. Gap frames are per-follower synthetics and are
 // never cached: caching one under a log index would corrupt the replay
 // of the real message living at that index.
+//
+// The ring grows with the job's stream instead of starting at its cap:
+// it is empty until the first miss publishes, then ×4 from
+// minRingSlots up to max (16 → 64 → 256 for the default cap). Below the
+// cap no stored seq reaches len(slots), so every entry sits at its own
+// index and the ring holds exactly what a ring allocated at max from
+// the start would hold — same hits, same misses — while a short job
+// pays for its own length, not the follow limit's.
 type frameRing struct {
 	mu    sync.Mutex
-	seqs  []int
-	types []string
-	data  [][]byte
+	slots []frameSlot // len grows to max; a slot is empty while data is nil
+	max   int         // ringSize(followLimit)
 
 	encoded *atomic.Int64 // messages marshaled (cache misses); may be nil
 	hits    *atomic.Int64 // frames served from cache; may be nil
 }
 
-// ringSize picks the ring capacity for a job with the given follow
-// limit: at least DefaultFollowLimit, and never smaller than the live
-// follow window, so every follower inside the window hits the cache.
+// frameSlot is one cached encoding. Keeping the three fields together
+// makes each growth step a single allocation.
+type frameSlot struct {
+	seq  int
+	typ  string
+	data []byte
+}
+
+// minRingSlots is the ring's first allocation: enough for a typical
+// short job (a handful of windows plus done) in 768 bytes.
+const minRingSlots = 16
+
+// ringSize picks the ring's cap for a job with the given follow limit:
+// at least DefaultFollowLimit, and never smaller than the live follow
+// window, so every follower inside the window hits the cache.
 func ringSize(followLimit int) int {
 	if followLimit > DefaultFollowLimit {
 		return followLimit
@@ -73,18 +92,8 @@ func ringSize(followLimit int) int {
 	return DefaultFollowLimit
 }
 
-func newFrameRing(size int, encoded, hits *atomic.Int64) *frameRing {
-	r := &frameRing{
-		seqs:    make([]int, size),
-		types:   make([]string, size),
-		data:    make([][]byte, size),
-		encoded: encoded,
-		hits:    hits,
-	}
-	for i := range r.seqs {
-		r.seqs[i] = -1
-	}
-	return r
+func newFrameRing(maxSlots int, encoded, hits *atomic.Int64) *frameRing {
+	return &frameRing{max: maxSlots, encoded: encoded, hits: hits}
 }
 
 // frameFor returns the wire encoding of msg, which must be the log
@@ -94,15 +103,15 @@ func newFrameRing(size int, encoded, hits *atomic.Int64) *frameRing {
 // publish the result for the next follower.
 func (r *frameRing) frameFor(seq int, msg Message) (Frame, error) {
 	if msg.Type != "gap" {
-		slot := seq % len(r.seqs)
 		r.mu.Lock()
-		if r.seqs[slot] == seq {
-			f := Frame{Seq: seq, Type: r.types[slot], Data: r.data[slot]}
-			r.mu.Unlock()
-			if r.hits != nil {
-				r.hits.Add(1)
+		if n := len(r.slots); n > 0 {
+			if s := r.slots[seq%n]; s.data != nil && s.seq == seq {
+				r.mu.Unlock()
+				if r.hits != nil {
+					r.hits.Add(1)
+				}
+				return Frame{Seq: seq, Type: s.typ, Data: s.data}, nil
 			}
-			return f, nil
 		}
 		r.mu.Unlock()
 	}
@@ -114,14 +123,33 @@ func (r *frameRing) frameFor(seq int, msg Message) (Frame, error) {
 		r.encoded.Add(1)
 	}
 	if msg.Type != "gap" {
-		slot := seq % len(r.seqs)
-		r.mu.Lock()
-		r.seqs[slot] = seq
-		r.types[slot] = msg.Type
-		r.data[slot] = b
-		r.mu.Unlock()
+		r.put(seq, msg.Type, b)
 	}
 	return Frame{Seq: seq, Type: msg.Type, Data: b}, nil
+}
+
+// put publishes an encoding, first growing the ring if seq lies past
+// its end and the ring is below its cap.
+func (r *frameRing) put(seq int, typ string, data []byte) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if n := len(r.slots); seq >= n && n < r.max {
+		if n == 0 {
+			n = minRingSlots
+		}
+		for n <= seq && n < r.max {
+			n *= 4
+		}
+		if n > r.max {
+			n = r.max
+		}
+		// Below the cap every stored seq is < len(slots), i.e. sits at
+		// index seq, which is also seq % n for the grown length.
+		grown := make([]frameSlot, n)
+		copy(grown, r.slots)
+		r.slots = grown
+	}
+	r.slots[seq%len(r.slots)] = frameSlot{seq: seq, typ: typ, data: data}
 }
 
 // ring returns the job's frame ring, creating it on first use so jobs

@@ -841,6 +841,7 @@ func (m *Manager) finish(j *Job, err error) {
 		return
 	}
 	j.finished = now
+	j.cancel = nil // run's deferred cancel still fires; a finished job must not pin its context
 	switch {
 	case err == nil:
 		j.state = JobDone

@@ -200,6 +200,39 @@ func TestManagerCancelRunningJob(t *testing.T) {
 	}
 }
 
+// Regression: finish used to leave j.cancel set, so every finished job
+// pinned its run's context for the manager's lifetime. The cancel func
+// is dropped on finish, and Cancel on a finished job stays a no-op.
+func TestManagerFinishedJobReleasesRunContext(t *testing.T) {
+	m := NewManager(Config{Workers: 1})
+	defer m.Close()
+	j, err := m.Submit(hogSpec(6, 30))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := drain(t, j)
+	j.mu.Lock()
+	pinned := j.cancel != nil
+	j.mu.Unlock()
+	if pinned {
+		t.Fatal("finished job still holds its run's cancel func")
+	}
+	stats := m.Stats()
+	if err := m.Cancel(j.ID()); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := j.State(); st != JobDone || err != nil {
+		t.Fatalf("after Cancel: state = %s (err %v), want done", st, err)
+	}
+	after := drain(t, j)
+	if len(after) != len(before) || after[len(after)-1] != before[len(before)-1] {
+		t.Fatalf("Cancel on a finished job changed its stream: %d → %d messages, last %+v", len(before), len(after), after[len(after)-1])
+	}
+	if got := m.Stats(); got.JobsDone != stats.JobsDone || got.JobsCancelled != stats.JobsCancelled {
+		t.Fatalf("Cancel on a finished job changed stats: %+v → %+v", stats, got)
+	}
+}
+
 func TestManagerCancelQueuedJobAndQueueFull(t *testing.T) {
 	m := NewManager(Config{Workers: 1, Queue: 1})
 	defer m.Close()
