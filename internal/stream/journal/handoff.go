@@ -17,10 +17,12 @@ import (
 // transition, one msg record per log entry, and the terminal state —
 // synthesized from a live RecoveredJob snapshot rather than read off
 // disk, so a handoff works even when the source shard journals to
-// different media (or not at all). Because both encode and replay go
-// through Go's JSON encoder over the same record struct, a decoded
-// history replays byte-identically at the adopter: the stream frames a
-// follower sees there are the frames the source would have served.
+// different media (or not at all). Encoding goes through Go's JSON
+// encoder over the same record struct the journal writes, and replay
+// through the journal's own decodeRecord, whose one-pass path decodes
+// exactly what encoding/json would (decode.go). So a decoded history
+// replays byte-identically at the adopter: the stream frames a follower
+// sees there are the frames the source would have served.
 //
 // Records are individually parseable lines, so a transfer interrupted
 // mid-stream resumes by record index: the receiver counts the records
@@ -70,6 +72,7 @@ func Replay(r io.Reader) (stream.RecoveredJob, int, error) {
 	n := 0
 	ok := false
 	br := bufio.NewReader(r)
+	var d recordDecoder
 	for {
 		line, err := br.ReadBytes('\n')
 		if err != nil && err != io.EOF {
@@ -80,10 +83,10 @@ func Replay(r io.Reader) (stream.RecoveredJob, int, error) {
 		line = bytes.TrimSuffix(line, []byte{'\r'})
 		if len(bytes.TrimSpace(line)) > 0 {
 			var rec record
-			if uerr := json.Unmarshal(line, &rec); uerr != nil {
+			if uerr := d.decodeRecord(line, &rec); uerr != nil {
 				return rj, n, fmt.Errorf("journal: handoff record %d torn or corrupt: %v", n, uerr)
 			}
-			apply(&rj, rec, &ok)
+			apply(&rj, &rec, &ok)
 			n++
 		}
 		if tail {

@@ -18,11 +18,13 @@ package journal
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -318,6 +320,7 @@ func (j *Journal) Recover() ([]stream.RecoveredJob, error) {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
 	var out []stream.RecoveredJob
+	var d recordDecoder
 	for _, e := range entries {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, suffix) {
@@ -327,7 +330,7 @@ func (j *Journal) Recover() ([]stream.RecoveredJob, error) {
 		if checkID(id) != nil {
 			continue
 		}
-		rj, ok, err := recoverFile(filepath.Join(j.dir, name), id)
+		rj, ok, err := recoverFile(filepath.Join(j.dir, name), id, &d)
 		if err != nil {
 			return nil, err
 		}
@@ -335,21 +338,61 @@ func (j *Journal) Recover() ([]stream.RecoveredJob, error) {
 			out = append(out, rj)
 		}
 	}
-	sort.Slice(out, func(a, b int) bool {
-		na, nb := -1, -1
-		fmt.Sscanf(out[a].ID, "j%d", &na)
-		fmt.Sscanf(out[b].ID, "j%d", &nb)
-		if na >= 0 && nb >= 0 && na != nb {
-			return na < nb
-		}
-		return out[a].ID < out[b].ID
-	})
+	sortByID(out)
 	return out, nil
+}
+
+// sortByID orders recovered jobs by ID: two IDs that both read as "j"
+// then a non-negative integer (Sscanf's "j%d": an optional sign, then
+// the leading digits) compare by that number, any other pair by string.
+// Each ID is parsed once, not once per comparison.
+func sortByID(jobs []stream.RecoveredJob) {
+	type key struct {
+		id  string
+		num int64 // -1: not a "j%d" ID
+		at  int
+	}
+	keys := make([]key, len(jobs))
+	for i := range jobs {
+		keys[i] = key{id: jobs[i].ID, num: idNumber(jobs[i].ID), at: i}
+	}
+	slices.SortFunc(keys, func(a, b key) int {
+		if a.num >= 0 && b.num >= 0 && a.num != b.num {
+			return cmp.Compare(a.num, b.num)
+		}
+		return strings.Compare(a.id, b.id)
+	})
+	sorted := make([]stream.RecoveredJob, len(jobs))
+	for i, k := range keys {
+		sorted[i] = jobs[k.at]
+	}
+	copy(jobs, sorted)
+}
+
+// idNumber reads id as fmt.Sscanf(id, "j%d", &n) does, returning -1
+// where that scan fails.
+func idNumber(id string) int64 {
+	s, ok := strings.CutPrefix(id, "j")
+	if !ok {
+		return -1
+	}
+	end := 0
+	if end < len(s) && (s[end] == '+' || s[end] == '-') {
+		end++
+	}
+	for end < len(s) && s[end] >= '0' && s[end] <= '9' {
+		end++
+	}
+	n, err := strconv.ParseInt(s[:end], 10, 64)
+	if err != nil {
+		return -1
+	}
+	return n
 }
 
 // recoverFile replays one job file. ok is false for files holding no
 // complete record (they are truncated to empty and skipped).
-func recoverFile(path, id string) (rj stream.RecoveredJob, ok bool, err error) {
+func recoverFile(path, id string, d *recordDecoder) (rj stream.RecoveredJob, ok bool, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return rj, false, fmt.Errorf("journal: %w", err)
@@ -363,10 +406,10 @@ func recoverFile(path, id string) (rj stream.RecoveredJob, ok bool, err error) {
 			break // torn tail: record written without its newline
 		}
 		var rec record
-		if json.Unmarshal(data[good:good+nl], &rec) != nil {
+		if d.decodeRecord(data[good:good+nl], &rec) != nil {
 			break // corrupt tail record
 		}
-		apply(&rj, rec, &ok)
+		apply(&rj, &rec, &ok)
 		good += nl + 1
 	}
 	if good < len(data) {
@@ -389,8 +432,9 @@ func recoverFile(path, id string) (rj stream.RecoveredJob, ok bool, err error) {
 	return rj, ok, nil
 }
 
-// apply folds one record into the job being reconstructed.
-func apply(rj *stream.RecoveredJob, rec record, ok *bool) {
+// apply folds one record into the job being reconstructed. The message
+// of a msg record is copied into the log by value.
+func apply(rj *stream.RecoveredJob, rec *record, ok *bool) {
 	switch rec.Kind {
 	case "spec":
 		*ok = true
