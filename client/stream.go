@@ -8,9 +8,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -29,14 +29,36 @@ import (
 // "gap" frame advances the resume point past the dropped region (its
 // Seq is the last skipped index), exactly as the server's follow
 // semantics define. Reconnects that made progress reset the retry
-// budget; MaxRetries bounds only consecutive fruitless attempts.
+// budget; MaxRetries bounds only consecutive fruitless attempts. A
+// frame whose data does not decode counts as a broken connection and
+// is retried the same way.
 //
 // A non-nil error from fn stops the follow and is returned as-is.
 func (c *Client) Stream(ctx context.Context, id string, from int, fn func(hpas.StreamMessage) error) error {
-	return c.streamLoop(ctx, id, from, func(ctx context.Context, from int) (int, error) {
-		return c.streamOnce(ctx, id, from, fn)
-	})
+	return c.StreamFrames(ctx, id, from, decodeFrames(fn))
 }
+
+// decodeFrames adapts a message callback to StreamFrames: it decodes
+// each frame's data and stamps Seq from the frame's id: line when it
+// has one.
+func decodeFrames(fn func(hpas.StreamMessage) error) func(hpas.StreamFrame) error {
+	return func(f hpas.StreamFrame) error {
+		var msg hpas.StreamMessage
+		if err := json.Unmarshal(f.Data, &msg); err != nil {
+			return badFrame{fmt.Errorf("bad SSE frame %q: %w", f.Data, err)}
+		}
+		if f.Seq >= 0 {
+			msg.Seq = f.Seq
+		}
+		return fn(msg)
+	}
+}
+
+// badFrame marks a frame decodeFrames could not decode, so the follow
+// retries it as a connection error instead of returning it as fn's.
+type badFrame struct{ err error }
+
+func (e badFrame) Error() string { return e.err.Error() }
 
 // StreamFrames is Stream delivering wire-encoded frames instead of
 // decoded messages: fn receives each SSE frame's event ID (Seq), event
@@ -56,10 +78,11 @@ func (c *Client) StreamFrames(ctx context.Context, id string, from int, fn func(
 	})
 }
 
-// streamLoop is the reconnect-and-resume skeleton shared by Stream and
-// StreamFrames: once runs a single connection from the given index and
-// reports the highest index it delivered; the loop resumes just past
-// it, resetting the retry budget whenever an attempt made progress.
+// streamLoop is the reconnect-and-resume skeleton behind StreamFrames
+// and so Stream: once runs a single connection from the given index
+// and reports the highest index it delivered; the loop resumes just
+// past it, resetting the retry budget whenever an attempt made
+// progress.
 func (c *Client) streamLoop(ctx context.Context, id string, from int, once func(context.Context, int) (int, error)) error {
 	next := from
 	failures := 0
@@ -79,7 +102,7 @@ func (c *Client) streamLoop(ctx context.Context, id string, from int, once func(
 		if errors.As(err, &ae) && !retryable(ae.StatusCode) {
 			return err // 404 and friends: retrying cannot help
 		}
-		if last >= next {
+		if last >= next && last < math.MaxInt { // past MaxInt there is no resume point
 			next = last + 1
 			failures = 0
 		} else {
@@ -103,56 +126,6 @@ func (c *Client) streamLoop(ctx context.Context, id string, from int, once func(
 type fnError struct{ err error }
 
 func (e *fnError) Error() string { return e.err.Error() }
-
-// streamOnce runs one SSE connection delivering messages from index
-// `from` on. It returns the highest log index it delivered (from-1 if
-// none) and nil after a done frame, or the connection's terminal error.
-func (c *Client) streamOnce(ctx context.Context, id string, from int, fn func(hpas.StreamMessage) error) (last int, err error) {
-	last = from - 1
-	resp, err := c.streamConnect(ctx, id, from)
-	if err != nil {
-		return last, err
-	}
-	defer resp.Body.Close()
-
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	seq, data, sawData := -1, "", false
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case line == "":
-			if !sawData {
-				continue // heartbeat / separator noise
-			}
-			var msg hpas.StreamMessage
-			if err := json.Unmarshal([]byte(data), &msg); err != nil {
-				return last, fmt.Errorf("bad SSE frame %q: %w", data, err)
-			}
-			if seq >= 0 {
-				msg.Seq = seq
-			}
-			if err := fn(msg); err != nil {
-				return last, &fnError{err}
-			}
-			if seq > last {
-				last = seq
-			}
-			if msg.Type == "done" {
-				return last, nil
-			}
-			seq, data, sawData = -1, "", false
-		case strings.HasPrefix(line, "id: "):
-			seq, _ = strconv.Atoi(strings.TrimPrefix(line, "id: "))
-		case strings.HasPrefix(line, "data: "):
-			data, sawData = strings.TrimPrefix(line, "data: "), true
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return last, err
-	}
-	return last, fmt.Errorf("stream %s ended before the job's done message", id)
-}
 
 // streamConnect opens one SSE connection resuming at log index from,
 // returning the response with a 200 status; any other status is closed
@@ -184,9 +157,8 @@ func (c *Client) streamConnect(ctx context.Context, id string, from int) (*http.
 	return resp, nil
 }
 
-// maxFrameLine bounds one SSE line, matching streamOnce's scanner
-// limit, so a corrupt or hostile stream cannot grow a line without
-// bound.
+// maxFrameLine bounds one SSE line, so a corrupt or hostile stream
+// cannot grow a line without bound.
 const maxFrameLine = 1 << 20
 
 // frameReaderPool recycles the buffered readers behind
@@ -196,12 +168,13 @@ var frameReaderPool = sync.Pool{
 	New: func() any { return bufio.NewReaderSize(nil, 64*1024) },
 }
 
-// streamFramesOnce is streamOnce without the decode: it parses SSE
-// lines into hpas.StreamFrames, copying each frame's data bytes but
-// never unmarshaling them. The frame's type comes from the event:
-// line, which serve always emits, and terminal detection keys off
-// Type == "done" — the same condition streamOnce reads out of the
-// decoded message.
+// streamFramesOnce runs one SSE connection delivering frames from
+// index `from` on. It returns the highest log index it delivered
+// (from-1 if none) and nil after a done frame, or the connection's
+// terminal error. It parses SSE lines into hpas.StreamFrames without
+// unmarshaling their data. The frame's type comes from the event:
+// line, which serve and the router always emit, and terminal
+// detection keys off Type == "done".
 func (c *Client) streamFramesOnce(ctx context.Context, id string, from int, fn func(hpas.StreamFrame) error) (last int, err error) {
 	last = from - 1
 	resp, err := c.streamConnect(ctx, id, from)
@@ -247,6 +220,10 @@ func (c *Client) streamFramesOnce(ctx context.Context, id string, from int, fn f
 				Raw:  block,
 			}
 			if err := fn(f); err != nil {
+				var bf badFrame
+				if errors.As(err, &bf) {
+					return last, bf.err
+				}
 				return last, &fnError{err}
 			}
 			if seq > last {
@@ -311,10 +288,14 @@ func readFrameLine(br *bufio.Reader) ([]byte, error) {
 		}
 		line = long
 	}
-	if err != nil {
+	if err != nil && (err != io.EOF || len(line) == 0) {
 		return nil, err
 	}
-	line = line[:len(line)-1] // trailing \n
+	// A last line that EOF cuts short still counts, so a stream whose
+	// final line ending is a bare "\r" still ends the frame before it.
+	if n := len(line); n > 0 && line[n-1] == '\n' {
+		line = line[:n-1]
+	}
 	if n := len(line); n > 0 && line[n-1] == '\r' {
 		line = line[:n-1]
 	}

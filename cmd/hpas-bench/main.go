@@ -4,15 +4,9 @@
 // Usage:
 //
 //	hpas-bench [-quick] [-only fig8,fig9]
-//	hpas-bench -perf [-out BENCH_7.json] [-quick]
 //
 // -quick shrinks run lengths and sweeps for a fast smoke pass; the
 // default sizes match the paper's setups.
-//
-// -perf skips the paper tables and instead measures the service-path
-// hot loops — simulation tick rate, per-window extract+classify,
-// journal append throughput, SSE fan-out, and router-proxied vs
-// direct overhead — writing the tracked baseline to -out.
 package main
 
 import (
@@ -28,13 +22,7 @@ import "hpas/internal/experiments"
 func main() {
 	quick := flag.Bool("quick", false, "shrink runs for a fast smoke pass")
 	only := flag.String("only", "", "comma-separated experiment ids (default: all)")
-	perf := flag.Bool("perf", false, "measure service-path baselines instead of paper tables")
-	out := flag.String("out", "BENCH_10.json", "output path for the -perf baseline")
 	flag.Parse()
-
-	if *perf {
-		os.Exit(runPerf(*out, *quick))
-	}
 
 	var ids map[string]bool
 	if *only != "" {

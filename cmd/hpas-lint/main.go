@@ -13,7 +13,6 @@
 //	go run ./cmd/hpas-lint -json ./...           # machine-readable findings
 //	go run ./cmd/hpas-lint -github ./...         # GitHub Actions annotations
 //	go run ./cmd/hpas-lint -unused-allows ./...  # stale-suppression audit
-//	go run ./cmd/hpas-lint -seq ./...            # single-threaded loader
 //
 // Findings print as file:line:col diagnostics and the exit status is 1;
 // a clean tree exits 0. Intentional exceptions are annotated in the
@@ -25,9 +24,7 @@
 //
 // The tool is stdlib-only: it parses and type-checks the module from
 // source (go/parser + go/types + go/importer's source mode), so it
-// needs no compiled export data and adds no module dependencies. The
-// load runs parallel by default; -seq forces the depth-first
-// single-threaded path for timing comparisons.
+// needs no compiled export data and adds no module dependencies.
 package main
 
 import (
@@ -47,9 +44,8 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit findings as a JSON array on stdout")
 	github := flag.Bool("github", false, "emit findings as GitHub Actions error annotations")
 	unusedAllows := flag.Bool("unused-allows", false, "report //lint:allow directives that suppress nothing")
-	seq := flag.Bool("seq", false, "load packages sequentially (disable the parallel loader)")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: hpas-lint [-list] [-run analyzers] [-json|-github] [-unused-allows] [-seq] [./... | packages]\n")
+		fmt.Fprintf(os.Stderr, "usage: hpas-lint [-list] [-run analyzers] [-json|-github] [-unused-allows] [./... | packages]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -79,7 +75,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "hpas-lint:", err)
 		os.Exit(2)
 	}
-	loader.Sequential = *seq
 	pkgs, err := loader.LoadModule()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hpas-lint:", err)

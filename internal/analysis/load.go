@@ -50,16 +50,12 @@ type Package struct {
 // *types.Package values are immutable and shared; the stdlib source
 // importer is NOT concurrency-safe, so it sits behind stdmu — the first
 // package to import a stdlib path pays for it, everyone after reuses
-// the importer's cache. Set Sequential to fall back to the depth-first
-// single-threaded load (the -seq flag in hpas-lint, for timing
-// comparisons).
+// the importer's cache.
 type Loader struct {
 	// Root is the module root (the directory holding go.mod).
 	Root string
 	// Module is the module path declared in go.mod.
 	Module string
-	// Sequential disables the parallel pipeline in LoadModule.
-	Sequential bool
 
 	fset *token.FileSet
 	std  types.ImporterFrom
@@ -160,20 +156,9 @@ func (l *Loader) LoadModule() ([]*Package, error) {
 			paths[i] = l.Module + "/" + filepath.ToSlash(rel)
 		}
 	}
-	var out []*Package
-	if l.Sequential {
-		for _, path := range paths {
-			pkg, err := l.load(path)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, pkg)
-		}
-	} else {
-		var err error
-		if out, err = l.loadParallel(dirs, paths); err != nil {
-			return nil, err
-		}
+	out, err := l.loadParallel(dirs, paths)
+	if err != nil {
+		return nil, err
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
 	return out, nil
@@ -325,7 +310,7 @@ func (l *Loader) load(path string) (*Package, error) {
 }
 
 // check parses and type-checks the package in dir as importPath — the
-// depth-first path used by LoadDir fixtures, Sequential mode, and any
+// depth-first path used by LoadDir fixtures and any
 // module-internal import the parallel planner did not schedule first.
 func (l *Loader) check(dir, importPath string) (*Package, error) {
 	l.mu.Lock()

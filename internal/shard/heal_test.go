@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"net/http/httputil"
 	"net/url"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync/atomic"
@@ -315,6 +316,49 @@ func TestReplicatorLedgerSurvivesReload(t *testing.T) {
 	}
 	if err := r3.close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A ledger whose last line lacks its newline, as a crash mid-append
+// leaves it, loses nothing recorded after the restart: a torn tail is
+// dropped and a complete one is kept, and either way the next line
+// lands on a line of its own.
+func TestReplicatorLedgerRecordsAfterUnterminatedTail(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		tail        string
+		pendingOpen int // pending at the first open
+	}{
+		{"torn", `{"op":"mut","rec":{"seq":1,"kind":"join","na`, 0},
+		{"complete", `{"op":"mut","rec":{"seq":1,"kind":"join","name":"s2","addr":"http://s2","from_epoch":1,"to_epoch":2},"peers":["p1"]}`, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "repl.ndjson")
+			if err := os.WriteFile(path, []byte(tc.tail), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			r, err := newReplicator(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := r.pendingCount(); got != tc.pendingOpen {
+				t.Fatalf("pending at open = %d, want %d", got, tc.pendingOpen)
+			}
+			if err := r.record(replRecord{Kind: "drain", Name: "s1", FromEpoch: 2, ToEpoch: 3}, []string{"p1"}); err != nil {
+				t.Fatal(err)
+			}
+			if err := r.close(); err != nil {
+				t.Fatal(err)
+			}
+			r2, err := newReplicator(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r2.close()
+			if got, want := r2.pendingCount(), tc.pendingOpen+1; got != want {
+				t.Fatalf("pending after record + reopen = %d, want %d", got, want)
+			}
+		})
 	}
 }
 

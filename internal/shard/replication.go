@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -90,8 +89,12 @@ type replicator struct {
 
 // newReplicator opens the ledger, replaying the journal at path when
 // one is configured: fully-acked records are dropped, the rest resume
-// pending. An unparsable tail line (torn by a crash mid-append) is
-// ignored; the mutation it described was never observable.
+// pending. A last line without its newline was cut by a crash
+// mid-append. If it does not parse it is truncated away, as
+// journal.Recover drops a torn job journal's tail; the mutation it
+// described was never observable. If it parses it is kept and
+// newline-terminated. Either way the next append starts a line of its
+// own instead of being glued onto the tail.
 func newReplicator(path string) (*replicator, error) {
 	r := &replicator{nextSeq: 1, entries: make(map[uint64]*replEntry)}
 	if path == "" {
@@ -101,50 +104,71 @@ func newReplicator(path string) (*replicator, error) {
 	if err != nil {
 		return nil, err
 	}
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
+	data, err := io.ReadAll(f)
+	if err == nil {
+		good := bytes.LastIndexByte(data, '\n') + 1 // end of the last whole line
+		for rest := data[:good]; len(rest) > 0; {
+			nl := bytes.IndexByte(rest, '\n')
+			r.replay(rest[:nl])
+			rest = rest[nl+1:]
 		}
-		var l replLine
-		if json.Unmarshal(line, &l) != nil {
-			continue // torn tail
-		}
-		switch l.Op {
-		case "mut":
-			if l.Rec == nil {
-				continue
+		if tail := data[good:]; len(tail) > 0 {
+			if r.replay(tail) {
+				_, err = f.Write([]byte{'\n'})
+			} else {
+				err = f.Truncate(int64(good))
 			}
-			pend := make(map[string]bool, len(l.Peers))
-			for _, p := range l.Peers {
-				pend[p] = true
+			if err == nil {
+				err = f.Sync()
 			}
-			r.entries[l.Rec.Seq] = &replEntry{rec: *l.Rec, pending: pend}
-			r.order = append(r.order, l.Rec.Seq)
-			if l.Rec.Seq >= r.nextSeq {
-				r.nextSeq = l.Rec.Seq + 1
-			}
-		case "ack":
-			if e := r.entries[l.Seq]; e != nil {
-				delete(e.pending, l.Peer)
-				if len(e.pending) == 0 {
-					r.dropLocked(l.Seq)
-				}
-			}
-		case "reset":
-			r.entries = make(map[uint64]*replEntry)
-			r.order = nil
 		}
 	}
-	if err := sc.Err(); err != nil {
+	if err != nil {
 		cerr := f.Close()
-		_ = cerr // the scan error is the one worth reporting
+		_ = cerr // the read or repair error is the one worth reporting
 		return nil, err
 	}
 	r.f = f
 	return r, nil
+}
+
+// replay applies one journal line to the ledger, reporting whether it
+// parsed. Unparsable lines are skipped.
+func (r *replicator) replay(line []byte) bool {
+	line = bytes.TrimSpace(line)
+	if len(line) == 0 {
+		return false
+	}
+	var l replLine
+	if json.Unmarshal(line, &l) != nil {
+		return false
+	}
+	switch l.Op {
+	case "mut":
+		if l.Rec == nil {
+			break
+		}
+		pend := make(map[string]bool, len(l.Peers))
+		for _, p := range l.Peers {
+			pend[p] = true
+		}
+		r.entries[l.Rec.Seq] = &replEntry{rec: *l.Rec, pending: pend}
+		r.order = append(r.order, l.Rec.Seq)
+		if l.Rec.Seq >= r.nextSeq {
+			r.nextSeq = l.Rec.Seq + 1
+		}
+	case "ack":
+		if e := r.entries[l.Seq]; e != nil {
+			delete(e.pending, l.Peer)
+			if len(e.pending) == 0 {
+				r.dropLocked(l.Seq)
+			}
+		}
+	case "reset":
+		r.entries = make(map[uint64]*replEntry)
+		r.order = nil
+	}
+	return true
 }
 
 // appendLocked journals one line. Caller holds r.mu.

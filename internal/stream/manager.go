@@ -410,17 +410,7 @@ func (m *Manager) SubmitIdempotent(spec JobSpec) (j *Job, deduped bool, err erro
 		return nil, false, ErrQueueFull
 	}
 	m.nextID++
-	j = &Job{
-		id:            fmt.Sprintf("j%04d", m.nextID),
-		spec:          spec,
-		followLimit:   m.cfg.FollowLimit,
-		gaps:          &m.gapsDropped,
-		framesEncoded: &m.framesEnc,
-		frameHits:     &m.frameHits,
-		state:         JobQueued,
-		updated:       make(chan struct{}),
-		created:       time.Now(),
-	}
+	j = m.newJob(fmt.Sprintf("j%04d", m.nextID), spec, JobQueued, nil, time.Now())
 	if spec.IdempotencyKey != "" {
 		// Reserve the key now, while still under the lock: a concurrent
 		// same-key submission racing the Create write below must find
@@ -466,6 +456,61 @@ func (m *Manager) SubmitIdempotent(spec JobSpec) (j *Job, deduped bool, err erro
 	return j, false, nil
 }
 
+// newJob builds one of this manager's jobs.
+func (m *Manager) newJob(id string, spec JobSpec, state JobState, log []Message, created time.Time) *Job {
+	return &Job{
+		id:            id,
+		spec:          spec,
+		followLimit:   m.cfg.FollowLimit,
+		gaps:          &m.gapsDropped,
+		framesEncoded: &m.framesEnc,
+		frameHits:     &m.frameHits,
+		state:         state,
+		log:           log,
+		created:       created,
+		updated:       make(chan struct{}),
+	}
+}
+
+// restoreLocked registers the history r as job id with log as its
+// message log, which it does not copy. A non-terminal history is
+// finalized as JobFailed with cause, its done message appended to the
+// log; finalized reports that. The idempotency key goes to the first
+// job that registers it. Caller holds m.mu.
+func (m *Manager) restoreLocked(id string, r RecoveredJob, log []Message, cause error) (j *Job, finalized bool) {
+	j = m.newJob(id, r.Spec, r.State, log, r.Created)
+	j.started, j.finished = r.Started, r.Finished
+	if r.Err != "" {
+		j.err = errors.New(r.Err)
+	}
+	if !j.state.Final() {
+		j.state, j.err, j.finished = JobFailed, cause, time.Now()
+		j.log = append(j.log, Message{Type: "done", State: JobFailed, Error: cause.Error()})
+		finalized = true
+	}
+	for _, msg := range j.log {
+		if msg.Type == "event" && msg.Event != nil {
+			j.events = append(j.events, *msg.Event)
+		}
+	}
+	switch j.state {
+	case JobDone:
+		m.done.Add(1)
+	case JobFailed:
+		m.failed.Add(1)
+	case JobCancelled:
+		m.cancelled.Add(1)
+	}
+	m.jobs[j.id] = j
+	m.order = append(m.order, j.id)
+	if k := r.Spec.IdempotencyKey; k != "" {
+		if _, taken := m.byKey[k]; !taken {
+			m.byKey[k] = j
+		}
+	}
+	return j, finalized
+}
+
 // Reopen restores jobs recovered from a Store (journal.Recover) into the
 // manager. Recovered jobs in a terminal state keep it, with their full
 // message log and event index; jobs whose journal ended mid-run — the
@@ -474,13 +519,7 @@ func (m *Manager) SubmitIdempotent(spec JobSpec) (j *Job, deduped bool, err erro
 // sees it directly. Future submissions continue after the highest
 // recovered job ID. Call before accepting new submissions.
 func (m *Manager) Reopen(recovered []RecoveredJob) error {
-	type fixup struct {
-		id  string
-		seq int
-		msg Message
-		at  time.Time
-	}
-	var fixups []fixup
+	var fixups []*Job // finalized here; terminal, so their logs no longer change
 
 	m.mu.Lock()
 	if m.closed {
@@ -495,54 +534,13 @@ func (m *Manager) Reopen(recovered []RecoveredJob) error {
 			m.mu.Unlock()
 			return fmt.Errorf("stream: duplicate recovered job %q", r.ID)
 		}
-		j := &Job{
-			id:            r.ID,
-			spec:          r.Spec,
-			followLimit:   m.cfg.FollowLimit,
-			gaps:          &m.gapsDropped,
-			framesEncoded: &m.framesEnc,
-			frameHits:     &m.frameHits,
-			state:         r.State,
-			log:           r.Log,
-			created:       r.Created,
-			started:       r.Started,
-			finished:      r.Finished,
-			updated:       make(chan struct{}),
-		}
-		if r.Err != "" {
-			j.err = errors.New(r.Err)
-		}
-		if !j.state.Final() {
-			j.state = JobFailed
-			j.err = ErrInterrupted
-			j.finished = time.Now()
-			done := Message{Type: "done", State: JobFailed, Error: ErrInterrupted.Error()}
-			fixups = append(fixups, fixup{r.ID, len(j.log), done, j.finished})
-			j.log = append(j.log, done)
-		}
-		for _, msg := range j.log {
-			if msg.Type == "event" && msg.Event != nil {
-				j.events = append(j.events, *msg.Event)
-			}
-		}
-		switch j.state {
-		case JobDone:
-			m.done.Add(1)
-		case JobFailed:
-			m.failed.Add(1)
-		case JobCancelled:
-			m.cancelled.Add(1)
-		}
-		m.jobs[j.id] = j
-		m.order = append(m.order, j.id)
-		if k := r.Spec.IdempotencyKey; k != "" {
-			// First registration wins (recovered jobs arrive in ID
-			// order), so a duplicate key in a hand-edited journal maps
-			// to the oldest job — matching what live dedupe would have
-			// produced.
-			if _, taken := m.byKey[k]; !taken {
-				m.byKey[k] = j
-			}
+		// The log is aliased, not copied. Recovered jobs arrive in ID
+		// order, so a duplicate key in a hand-edited journal maps to
+		// the oldest job — matching what live dedupe would have
+		// produced.
+		j, finalized := m.restoreLocked(r.ID, r, r.Log, ErrInterrupted)
+		if finalized {
+			fixups = append(fixups, j)
 		}
 		var n int
 		if _, err := fmt.Sscanf(j.id, "j%d", &n); err == nil && n > m.nextID {
@@ -551,9 +549,10 @@ func (m *Manager) Reopen(recovered []RecoveredJob) error {
 	}
 	m.mu.Unlock()
 
-	for _, f := range fixups {
-		m.journalAppend(f.id, f.seq, f.msg)
-		m.journalState(f.id, JobFailed, ErrInterrupted.Error(), f.at)
+	for _, j := range fixups {
+		seq := len(j.log) - 1
+		m.journalAppend(j.id, seq, j.log[seq])
+		m.journalState(j.id, JobFailed, ErrInterrupted.Error(), j.finished)
 	}
 	return nil
 }
@@ -584,49 +583,9 @@ func (m *Manager) Adopt(r RecoveredJob) (j *Job, deduped bool, err error) {
 		}
 	}
 	m.nextID++
-	j = &Job{
-		id:            fmt.Sprintf("j%04d", m.nextID),
-		spec:          r.Spec,
-		followLimit:   m.cfg.FollowLimit,
-		gaps:          &m.gapsDropped,
-		framesEncoded: &m.framesEnc,
-		frameHits:     &m.frameHits,
-		state:         r.State,
-		log:           append([]Message(nil), r.Log...),
-		created:       r.Created,
-		started:       r.Started,
-		finished:      r.Finished,
-		updated:       make(chan struct{}),
-	}
-	if r.Err != "" {
-		j.err = errors.New(r.Err)
-	}
-	if !j.state.Final() {
-		// The terminal fixup lands in j.log here, so the full-log journal
-		// pass below records it too — the next restart replays it as-is.
-		j.state = JobFailed
-		j.err = ErrShardLost
-		j.finished = time.Now()
-		j.log = append(j.log, Message{Type: "done", State: JobFailed, Error: ErrShardLost.Error()})
-	}
-	for _, msg := range j.log {
-		if msg.Type == "event" && msg.Event != nil {
-			j.events = append(j.events, *msg.Event)
-		}
-	}
-	switch j.state {
-	case JobDone:
-		m.done.Add(1)
-	case JobFailed:
-		m.failed.Add(1)
-	case JobCancelled:
-		m.cancelled.Add(1)
-	}
-	m.jobs[j.id] = j
-	m.order = append(m.order, j.id)
-	if k := r.Spec.IdempotencyKey; k != "" {
-		m.byKey[k] = j
-	}
+	// A terminal fixup lands in the copied log, so the full-log journal
+	// pass below records it too — the next restart replays it as-is.
+	j, _ = m.restoreLocked(fmt.Sprintf("j%04d", m.nextID), r, append([]Message(nil), r.Log...), ErrShardLost)
 	m.adopted.Add(1)
 	log, state, errText, finished := j.log, j.state, "", j.finished
 	if j.err != nil {
