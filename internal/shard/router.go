@@ -452,9 +452,11 @@ func (rt *Router) noteSuccess(m *member, h api.ShardHealth) {
 // the router finalized as failed-by-shard-loss — the member may still
 // be executing those, but the router already told the client they
 // failed, so letting them run would burn a worker on a result nobody
-// can observe. Caller holds rt.fomu.
+// can observe. The queued copies come first: cancelling a running copy
+// frees a worker, which must not pick up a queued copy still waiting
+// for its own cancel. Caller holds rt.fomu.
 func (rt *Router) collectZombies(m *member) []zombieRef {
-	var out []zombieRef
+	var queued, running []zombieRef
 	rt.mu.Lock()
 	for _, gid := range rt.order {
 		r := rt.routes[gid]
@@ -464,7 +466,7 @@ func (rt *Router) collectZombies(m *member) []zombieRef {
 		kept := r.zombies[:0]
 		for _, z := range r.zombies {
 			if z.m == m {
-				out = append(out, z)
+				queued = append(queued, z)
 			} else {
 				kept = append(kept, z)
 			}
@@ -472,15 +474,16 @@ func (rt *Router) collectZombies(m *member) []zombieRef {
 		r.zombies = kept
 		if r.lost && !r.reaped && r.shard == m && r.localID != "" {
 			r.reaped = true
-			out = append(out, zombieRef{m: m, localID: r.localID})
+			running = append(running, zombieRef{m: m, localID: r.localID})
 		}
 	}
 	rt.mu.Unlock()
-	return out
+	return append(queued, running...)
 }
 
 // cancelZombies best-effort cancels the collected copies on the
-// rejoined member. Failures are ignored: the copies are deduped by the
+// rejoined member, in order; a cancel returns once its copy is
+// terminal. Failures are ignored: the copies are deduped by the
 // journaled idempotency key either way, this only releases workers.
 func (rt *Router) cancelZombies(m *member, orphans []zombieRef) {
 	for _, z := range orphans {

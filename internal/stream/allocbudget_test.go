@@ -28,11 +28,13 @@ import (
 // class — e.g. a per-message allocation sneaking back into a
 // per-follower loop — without flaking on allocator noise.
 const (
-	// replayAllocBudgetPerMsg bounds the cache-hit replay fan-out path;
-	// measured ~0.02 allocs/msg (4 allocs per 256-message replay).
+	// replayAllocBudgetPerMsg bounds the replay fan-out path, which
+	// serves frames out of the job's encoded log; measured ~0.01
+	// allocs/msg (3 allocs per 256-message replay).
 	replayAllocBudgetPerMsg = 1.0
 	// appendAllocBudgetPerMsg bounds the live append→fan-out path with
-	// 8 followers attached; measured ~2 allocs/msg.
+	// 8 followers attached; measured ~1 alloc/msg (the channel that
+	// wakes followers).
 	appendAllocBudgetPerMsg = 8.0
 )
 
@@ -195,10 +197,9 @@ func TestAllocBudgetSimulatorTick(t *testing.T) {
 }
 
 // retainedPerJobBudget bounds what a finished, followed job keeps live:
-// its spec, log and a frame ring sized to its stream. A ring allocated
-// at its 256-slot cap up front keeps 16.8 KB per job; the growing ring
-// keeps 4.2 KB.
-const retainedPerJobBudget = 6 << 10
+// its spec and its encoded log, which frame followers read in place.
+// Measured 2 141 B; the budget is that plus 25 %.
+const retainedPerJobBudget = 2676
 
 // runFollowedJobs submits n short hog jobs one at a time and follows
 // each through FollowFramesFrom to its done frame, as a streaming

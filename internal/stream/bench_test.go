@@ -33,20 +33,19 @@ func benchFinishedJob(b *testing.B, m *Manager, n int) *Job {
 	return j
 }
 
-// benchReplayMsgs is the log length the replay benchmarks use; it fits
-// inside the default frame ring so steady-state ops are all cache hits.
+// benchReplayMsgs is the log length the replay benchmarks use.
 const benchReplayMsgs = 255
 
 // BenchmarkFrameReplayFanout measures the shared-frame replay path: one
-// op drains a full FollowFramesFrom replay of a finished job. After the
-// warmup pass every frame comes out of the ring cache, so per-message
+// op drains a full FollowFramesFrom replay of a finished job. Every
+// frame is a sub-slice of the job's encoded log, so per-message
 // allocations on this path are what the alloc-budget test pins.
 func BenchmarkFrameReplayFanout(b *testing.B) {
 	m := NewManager(Config{Workers: 1})
 	defer m.Close()
 	j := benchFinishedJob(b, m, benchReplayMsgs)
 	ctx := context.Background()
-	for range j.FollowFramesFrom(ctx, 0) { // warm the ring
+	for range j.FollowFramesFrom(ctx, 0) { // warm up
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -85,13 +84,17 @@ func BenchmarkAppendFanout(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		j.mu.Lock()
-		j.appendLocked(msg)
+		if _, err := j.appendLocked(&msg); err != nil {
+			b.Fatal(err)
+		}
 		j.mu.Unlock()
 	}
 	b.StopTimer()
 	j.mu.Lock()
 	j.state = JobDone
-	j.appendLocked(Message{Type: "done", State: JobDone})
+	if _, err := j.appendLocked(&Message{Type: "done", State: JobDone}); err != nil {
+		b.Fatal(err)
+	}
 	j.mu.Unlock()
 	wg.Wait()
 }

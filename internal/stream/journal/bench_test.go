@@ -96,7 +96,7 @@ func BenchmarkRecover(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		jobs, err := jn.Recover()
-		if err != nil || len(jobs) != 1 || len(jobs[0].Log) != recoverMsgs {
+		if err != nil || len(jobs) != 1 || jobs[0].Encoded.Len() != recoverMsgs {
 			b.Fatalf("recovered %d jobs (err %v), want one of %d messages", len(jobs), err, recoverMsgs)
 		}
 	}

@@ -49,19 +49,33 @@ func sameRecord(a, b *record) bool {
 		a.Error == b.Error && bytes.Equal(a.Spec, b.Spec) && samePtr(a.Msg, b.Msg, sameMessage)
 }
 
-// sameJob compares recovered jobs: the log message by message as
-// sameMessage does, everything else by reflect.DeepEqual.
-func sameJob(a, b stream.RecoveredJob) bool {
-	if len(a.Log) != len(b.Log) {
-		return false
-	}
-	for i := range a.Log {
-		if !sameMessage(&a.Log[i], &b.Log[i]) {
+// sameJob compares a recovered job with a reference job whose log is
+// structs: an encoded log frame by frame against json.Marshal of the
+// reference's messages, a struct log message by message as sameMessage
+// does, everything else by reflect.DeepEqual.
+func sameJob(a, ref stream.RecoveredJob) bool {
+	if a.Encoded != nil {
+		if a.Encoded.Len() != len(ref.Log) {
 			return false
 		}
+		for i := range ref.Log {
+			want, err := json.Marshal(&ref.Log[i])
+			if err != nil || !bytes.Equal(a.Encoded.Frame(i), want) {
+				return false
+			}
+		}
+	} else {
+		if len(a.Log) != len(ref.Log) {
+			return false
+		}
+		for i := range a.Log {
+			if !sameMessage(&a.Log[i], &ref.Log[i]) {
+				return false
+			}
+		}
 	}
-	a.Log, b.Log = nil, nil
-	return reflect.DeepEqual(a, b)
+	a.Log, a.Encoded, ref.Log = nil, nil, nil
+	return reflect.DeepEqual(a, ref)
 }
 
 const zeroAt = `{"k":"msg","at":"0001-01-01T00:00:00Z"`
@@ -109,6 +123,8 @@ var decodeSeeds = []string{
 	zeroAt + `,"seq":3,"msg":null}`,
 	zeroAt + `,"seq":3,"msg":{"state":"done","type":"done"}}`,
 	`{"k":"msg","seq":0,"msg":{"type":"window","window":{"node":0,"from":0,"to":5,"class":"none","confidence":1}}}`,
+	`{"k":"msg","seq":3,"at":"0001-01-01T00:00:00Z","msg":{"type":"done","state":"done"}}`,
+	`{"k":"msg","at":"0001-01-01T00:00:00Z","at":"0001-01-01T00:00:00Z","msg":{"type":"done"}}`,
 	// Strings: escapes, invalid UTF-8, non-ASCII, control bytes.
 	zeroAt + `,"seq":3,"msg":{"type":"window","window":{"node":0,"from":0,"to":5,"class":"\u0063puoccupy","confidence":1}}}`,
 	zeroAt + `,"seq":3,"msg":{"type":"\u0064one","state":"done"}}`,
@@ -132,11 +148,34 @@ var decodeSeeds = []string{
 	`{"k":"msg","seq":3,"msg":{"type":"win`,
 	zeroAt + `,"seq":3,"msg":{"type":"window","window":{"node":0,"from":0,"to":5,"class":"none","confidence":1}`,
 	``, `{}`, `null`, `[]`,
+	// The writer's form since it stopped writing the zero "at", with
+	// non-canonical numbers and empty omitempty fields it must
+	// re-encode rather than copy.
+	`{"k":"msg","msg":{"type":"window","window":{"node":0,"from":0,"to":5,"class":"none","confidence":1}}}`,
+	`{"k":"msg","seq":17,"msg":{"type":"window","window":{"node":3,"from":12.25,"to":22.25,"class":"cpuoccupy","confidence":0.7333333333333333}}}`,
+	`{"k":"msg","seq":40,"msg":{"type":"event","event":{"node":1,"class":"memleak","start":150,"end":210,"windows":51,"confidence":0.9411764705882353}}}`,
+	`{"k":"msg","seq":41,"msg":{"type":"done","state":"failed","error":"stream: job interrupted by service restart"}}`,
+	`{"k":"msg","seq":9,"msg":{"type":"gap","dropped":12}}`,
+	`{"k":"msg","seq":3,"msg":{"type":"window","window":{"node":0,"from":1.0,"to":0.950,"class":"none","confidence":1e1}}}`,
+	`{"k":"msg","seq":3,"msg":{"type":"window","window":{"node":0,"from":1.0,"to":2,"class":"none","confidence":1}}}`,
+	`{"k":"msg","seq":3,"msg":{"type":"window","window":{"node":0,"from":1,"to":0.950,"class":"none","confidence":1}}}`,
+	`{"k":"msg","seq":3,"msg":{"type":"window","window":{"node":0,"from":1,"to":100000000000000000000000,"class":"none","confidence":1}}}`,
+	`{"k":"msg","seq":3,"msg":{"type":"done","state":""}}`,
+	`{"k":"msg","seq":3,"msg":{"type":"window","window":{"node":0,"from":0.0000001,"to":100000000000000000000000,"class":"none","confidence":0.1234567890123456}}}`,
+	`{"k":"msg","seq":3,"msg":{"type":"window","window":{"node":0,"from":-0,"to":-0.0,"class":"a&b","confidence":0.000001}}}`,
+	`{"k":"msg","seq":3,"msg":{"type":"done","state":"","error":"","dropped":0}}`,
+	`{"k":"msg","seq":-0,"msg":{"type":"gap","dropped":-0}}`,
+	`{"k":"msg","seq":3,"msg":{"type":"window","window":{"node":0,"from":9007199254740991,"to":9007199254740993,"class":"none","confidence":-0.5}}}`,
+	`{"k":"msg","seq":3,"msg":{"type":"window","window":{"node":0,"from":0.0000000000000000000001,"to":0.00000000000000000000001,"class":"none","confidence":0.30000000000000004}}}`,
+	`{"k":"msg","seq":3,"msg":{"type":"window","window":{"node":0,"from":123456789012345.6,"to":0.10000000000000001,"class":"none","confidence":100000000000000000000}}}`,
+	`{"k":"msg","seq":3,"msg":{"type":"done","state":"done"}`,
+	`{"k":"msg","seq":3 ,"msg":{"type":"done","state":"done"}}`,
 }
 
 // The one-pass path is a strict subset of encoding/json: whatever it
-// accepts, json.Unmarshal accepts too and decodes to an equal record.
-// decodeRecord as a whole accepts and rejects exactly what
+// accepts, json.Unmarshal accepts too and decodes to an equal record,
+// and message bytes it finds canonical are exactly json.Marshal of that
+// message. decodeRecord as a whole accepts and rejects exactly what
 // json.Unmarshal does, with the same result.
 func FuzzDecodeRecord(f *testing.F) {
 	for _, s := range decodeSeeds {
@@ -148,12 +187,17 @@ func FuzzDecodeRecord(f *testing.F) {
 
 		var d recordDecoder
 		var fast record
-		if d.decodeMsg(line, &fast) {
+		if d.onePass(line, &fast) {
 			if wantErr != nil {
 				t.Fatalf("one-pass decode accepted %q; encoding/json rejects it: %v", line, wantErr)
 			}
 			if !sameRecord(&fast, &want) {
 				t.Fatalf("one-pass decode of %q = %+v (msg %+v); encoding/json gives %+v (msg %+v)", line, fast, fast.Msg, want, want.Msg)
+			}
+			if fast.raw != nil {
+				if b, err := json.Marshal(want.Msg); err != nil || !bytes.Equal(fast.raw, b) {
+					t.Fatalf("one-pass decode of %q found %s canonical; json.Marshal gives %s (%v)", line, fast.raw, b, err)
+				}
 			}
 		}
 
@@ -227,7 +271,7 @@ func TestOnePassDecodesEveryWrittenShape(t *testing.T) {
 		for i, line := range lines {
 			var d recordDecoder
 			var rec record
-			if !d.decodeMsg([]byte(line), &rec) {
+			if !d.onePass([]byte(line), &rec) {
 				t.Errorf("%s record %d takes the slow path: %s", name, i, line)
 				continue
 			}
@@ -246,9 +290,9 @@ func bytesToStrings(bs [][]byte) []string {
 	return out
 }
 
-// Once a decoder has seen a class name, a window record costs one
-// allocation — its *Window — and a done record none: class names are
-// interned, types and states are literals, the message is lent.
+// Once a decoder has seen a class name, decoding a record allocates
+// nothing: class names are interned, types and states are literals, and
+// the message, its Window and its Event are lent.
 func TestDecodeAllocsPerRecord(t *testing.T) {
 	if race.Enabled {
 		t.Skip("alloc counts are skewed by -race instrumentation")
@@ -259,13 +303,13 @@ func TestDecodeAllocsPerRecord(t *testing.T) {
 		line   string
 		allocs float64
 	}{
-		{zeroAt + `,"seq":1,"msg":{"type":"window","window":{"node":0,"from":12.25,"to":22.25,"class":"cpuoccupy","confidence":0.7333333333333333}}}`, 1},
-		{zeroAt + `,"seq":2,"msg":{"type":"event","event":{"node":1,"class":"cpuoccupy","start":150,"end":210,"windows":51,"confidence":0.9411764705882353}}}`, 1},
+		{zeroAt + `,"seq":1,"msg":{"type":"window","window":{"node":0,"from":12.25,"to":22.25,"class":"cpuoccupy","confidence":0.7333333333333333}}}`, 0},
+		{`{"k":"msg","seq":2,"msg":{"type":"event","event":{"node":1,"class":"cpuoccupy","start":150,"end":210,"windows":51,"confidence":0.9411764705882353}}}`, 0},
 		{zeroAt + `,"seq":3,"msg":{"type":"done","state":"done"}}`, 0},
 	} {
 		line := []byte(tc.line)
 		got := testing.AllocsPerRun(100, func() {
-			if !d.decodeMsg(line, &rec) {
+			if !d.onePass(line, &rec) {
 				t.Fatalf("canonical record declined: %s", line)
 			}
 		})

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -224,8 +225,8 @@ func TestTornTailRecovery(t *testing.T) {
 		t.Fatalf("recovered %d jobs, want 1", len(recovered))
 	}
 	rj := recovered[0]
-	if rj.State != stream.JobRunning || len(rj.Log) != 3 {
-		t.Fatalf("recovered job = state %s with %d messages, want running with 3", rj.State, len(rj.Log))
+	if rj.State != stream.JobRunning || rj.Encoded.Len() != 3 {
+		t.Fatalf("recovered job = state %s with %d messages, want running with 3", rj.State, rj.Encoded.Len())
 	}
 	if !rj.Created.Equal(now) || !rj.Started.Equal(now) {
 		t.Errorf("recovered times %v/%v, want %v", rj.Created, rj.Started, now)
@@ -267,7 +268,7 @@ func TestTornTailRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(again) != 1 || again[0].State != stream.JobFailed || len(again[0].Log) != 4 {
+	if len(again) != 1 || again[0].State != stream.JobFailed || again[0].Encoded.Len() != 4 {
 		t.Fatalf("second recovery = %+v, want failed with 4 messages", again[0])
 	}
 }
@@ -345,7 +346,7 @@ func TestRecoverToleratesMissingSpecRecord(t *testing.T) {
 		t.Fatalf("recovered %d jobs, want 1", len(recovered))
 	}
 	rj := recovered[0]
-	if rj.ID != "j0002" || rj.State != stream.JobCancelled || len(rj.Log) != 1 {
+	if rj.ID != "j0002" || rj.State != stream.JobCancelled || rj.Encoded.Len() != 1 {
 		t.Fatalf("recovered job = %+v, want cancelled j0002 with 1 message", rj)
 	}
 	if !rj.Created.Equal(now) {
@@ -411,10 +412,154 @@ func TestRecoverAfterInjectedTear(t *testing.T) {
 	if err != nil {
 		t.Fatalf("recover over injected tear failed: %v", err)
 	}
-	if len(recovered) != 1 || len(recovered[0].Log) != 2 {
+	if len(recovered) != 1 || recovered[0].Encoded.Len() != 2 {
 		t.Fatalf("recovered %+v, want j0001 with the 2 whole messages", recovered)
 	}
 	if after, err := os.Stat(path); err != nil || after.Size() >= fi.Size() {
 		t.Errorf("torn record not truncated: %v, %d >= %d", err, after.Size(), fi.Size())
+	}
+}
+
+// recoverOne writes body as job j0001's journal, recovers it and
+// reopens it into a fresh manager.
+func recoverOne(t *testing.T, body string) (*stream.Manager, *stream.Job) {
+	t.Helper()
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "j0001"+suffix), []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	jn, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := jn.Close(); err != nil {
+			t.Error(err)
+		}
+	})
+	recovered, err := jn.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := stream.NewManager(stream.Config{Workers: 1, Store: jn})
+	t.Cleanup(m.Close)
+	if err := m.Reopen(recovered); err != nil {
+		t.Fatal(err)
+	}
+	j, ok := m.Get("j0001")
+	if !ok {
+		t.Fatal("j0001 not reopened")
+	}
+	return m, j
+}
+
+// frames drains a frame follower of j from seq from.
+func frames(t *testing.T, j *stream.Job, from int) []stream.Frame {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	var out []stream.Frame
+	for f := range j.FollowFramesFrom(ctx, from) {
+		out = append(out, f)
+	}
+	if ctx.Err() != nil {
+		t.Fatalf("job %s frames did not complete: %v", j.ID(), ctx.Err())
+	}
+	return out
+}
+
+// A journal holding numbers encoding/json accepts but never writes —
+// a trailing zero, an exponent, an empty omitempty field — replays
+// exactly json.Marshal of what json.Unmarshal reads from each record:
+// recovery re-encodes instead of copying such a message.
+func TestRecoverReencodesNonCanonicalMessages(t *testing.T) {
+	// Each msg record is canonical but for one token.
+	w := func(seq int, node, from, to, class, conf string) string {
+		return `{"k":"msg","seq":` + strconv.Itoa(seq) + `,"msg":{"type":"window","window":{"node":` + node +
+			`,"from":` + from + `,"to":` + to + `,"class":"` + class + `","confidence":` + conf + `}}}`
+	}
+	lines := []string{
+		`{"k":"spec","at":"2026-01-02T03:04:05Z","spec":{}}`,
+		`{"k":"msg","msg":{"type":"window","window":{"node":0,"from":1.0,"to":11,"class":"none","confidence":0.9}}}`,
+		w(1, "0", "1", "0.950", "none", "0.9"),
+		w(2, "0", "1", "11", "none", "1e1"),
+		w(3, "0", "0.0000001", "11", "none", "0.9"),
+		w(4, "0", "1", "100000000000000000000000", "none", "0.9"),
+		w(5, "0", "1", "11", "a&b", "0.9"),
+		w(6, "-0", "1", "11", "none", "0.9"),
+		w(7, "0", "1", "11", "none", "0.10000000000000001"),
+		`{"k":"msg","at":"0001-01-01T00:00:00Z","seq":8,"msg":{"type":"event","event":{"node":1,"class":"hog","start":1E2,"end":102,"windows":3,"confidence":0.5}}}`,
+		`{"k":"msg","seq":9,"msg":{"type":"gap","dropped":0}}`,
+		`{"k":"msg","seq":10,"msg":{"type":"done","state":""}}`,
+		`{"k":"msg","seq":11,"msg":{"type":"done","state":"done","error":""}}`,
+		`{"k":"state","at":"2026-01-02T03:04:06Z","state":"done"}`,
+	}
+	_, j := recoverOne(t, strings.Join(lines, "\n")+"\n")
+	got := frames(t, j, 0)
+	msgLines := lines[1 : len(lines)-1]
+	if len(got) != len(msgLines) {
+		t.Fatalf("replayed %d frames, want %d", len(got), len(msgLines))
+	}
+	for i, line := range msgLines {
+		var rec record
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(rec.Msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got[i].Data) != string(want) || got[i].Type != rec.Msg.Type {
+			t.Errorf("frame %d = %s %s, want %s %s", i, got[i].Type, got[i].Data, rec.Msg.Type, want)
+		}
+	}
+}
+
+// A restored job serves its journal's bytes: a full replay and a resume
+// from seq 900 of a recovered 1001-message job encode nothing, and
+// serve exactly what the live job served.
+func TestRestoredJobReplaysWithoutEncoding(t *testing.T) {
+	const n = 1001
+	var live []stream.Frame
+	var body strings.Builder
+	body.WriteString(`{"k":"spec","at":"2026-01-02T03:04:05Z","spec":{}}` + "\n")
+	for i := 0; i < n; i++ {
+		m := stream.Message{Type: "window", Window: &stream.Window{Node: i % 4, From: float64(i) / 3, To: float64(i)/3 + 10, Class: "cpuoccupy", Confidence: 1 / float64(i+1)}}
+		if i == n-1 {
+			m = stream.Message{Type: "done", State: stream.JobDone}
+		}
+		line, err := encodeRecord(nil, &record{Kind: "msg", Seq: i, Msg: &m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		body.Write(append(line, '\n'))
+		data, err := json.Marshal(&m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		live = append(live, stream.Frame{Seq: i, Type: m.Type, Data: data})
+	}
+	body.WriteString(`{"k":"state","at":"2026-01-02T03:04:06Z","state":"done"}` + "\n")
+
+	m, j := recoverOne(t, body.String())
+	before := m.Stats().FramesEncoded
+	for _, from := range []int{0, 900} {
+		got := frames(t, j, from)
+		if len(got) != n-from {
+			t.Fatalf("replay from %d: %d frames, want %d", from, len(got), n-from)
+		}
+		for i, f := range got {
+			want := live[from+i]
+			if f.Seq != want.Seq || f.Type != want.Type || string(f.Data) != string(want.Data) {
+				t.Fatalf("replay from %d: frame %d = %d %s %s, want %d %s %s", from, i, f.Seq, f.Type, f.Data, want.Seq, want.Type, want.Data)
+			}
+		}
+	}
+	st := m.Stats()
+	if st.FramesEncoded != before {
+		t.Errorf("replaying a restored job encoded %d messages, want 0", st.FramesEncoded-before)
+	}
+	if want := int64(n + n - 900); st.FrameCacheHits != want {
+		t.Errorf("frames served from the log = %d, want %d", st.FrameCacheHits, want)
 	}
 }

@@ -37,6 +37,12 @@ type Store interface {
 // A recovered job replays its status, events, and message stream
 // byte-identically. The campaign result (full metric traces) is kept
 // nowhere, in memory or on disk: the stream is a job's whole output.
+//
+// The message log comes in one of two forms. Journal recovery hands
+// over Encoded, the bytes the restored job serves, so a restart never
+// re-encodes its history. Histories built or exported as structs —
+// Job.Snapshot, journal handoff's Replay, tests — carry Log, which
+// Manager.Reopen and Adopt encode when Encoded is nil.
 type RecoveredJob struct {
 	ID       string
 	Spec     JobSpec
@@ -46,6 +52,7 @@ type RecoveredJob struct {
 	Started  time.Time // zero if the job never started
 	Finished time.Time // zero if the journal ended before a terminal state
 	Log      []Message
+	Encoded  *EncodedLog // when non-nil, the log; Log is ignored
 }
 
 // ErrInterrupted marks a recovered job whose journal ended without a
