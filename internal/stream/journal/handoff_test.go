@@ -80,6 +80,30 @@ func TestHandoffRoundTrip(t *testing.T) {
 	}
 }
 
+// A job exports the same lines from its encoded snapshot, whose msg
+// records wrap the log's bytes, as from its decoded one, whose messages
+// are encoded again.
+func TestHandoffEncodedSnapshotMatchesDecoded(t *testing.T) {
+	m := stream.NewManager(stream.Config{Workers: 1})
+	defer m.Close()
+	j, err := m.Submit(hogSpec(42, 30))
+	if err != nil {
+		t.Fatal(err)
+	}
+	drain(t, j)
+	fromLog, err := EncodeRecords(j.EncodedSnapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromMsgs, err := EncodeRecords(j.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(joinRecords(fromLog), joinRecords(fromMsgs)) {
+		t.Fatalf("encoded-snapshot export differs:\n%s\nwant\n%s", joinRecords(fromLog), joinRecords(fromMsgs))
+	}
+}
+
 // A torn tail is an error, not a shrug: unlike crash recovery, a
 // handoff truncated mid-line must be reported with the count of
 // complete records, so the receiver re-fetches from that offset.

@@ -44,7 +44,7 @@ func (s *Server) handleHandoffGet(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("job %q is %s: handoff serves terminal history only", id, state))
 		return
 	}
-	lines, err := hpas.EncodeStreamRecords(j.Snapshot())
+	lines, err := hpas.EncodeStreamRecords(j.EncodedSnapshot())
 	if err != nil {
 		WriteError(w, http.StatusInternalServerError, err)
 		return
