@@ -35,12 +35,14 @@ var fixtures = []struct {
 // the diagnostics, line by line, against the checked-in golden file.
 // Regenerate with: go test ./internal/analysis -run TestFixtures -update
 func TestFixtures(t *testing.T) {
+	// One loader serves every fixture: its source importer type-checks
+	// each standard-library package once, not once per fixture.
+	loader, err := NewLoader(".")
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, fx := range fixtures {
 		t.Run(fx.analyzer.Name, func(t *testing.T) {
-			loader, err := NewLoader(".")
-			if err != nil {
-				t.Fatal(err)
-			}
 			pkg, err := loader.LoadDir(filepath.Join("testdata", fx.dir), fx.importPath)
 			if err != nil {
 				t.Fatal(err)

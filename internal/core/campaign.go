@@ -122,7 +122,7 @@ func (c *Campaign) RunContext(ctx context.Context) (*CampaignResult, error) {
 		cfg.FixedSeconds = end
 	}
 
-	res, err := RunContext(ctx, cfg)
+	res, samples, err := runContext(ctx, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -130,12 +130,6 @@ func (c *Campaign) RunContext(ctx context.Context) (*CampaignResult, error) {
 	period := cfg.SamplePeriod
 	if period <= 0 {
 		period = 1
-	}
-	samples := 0
-	if len(res.Metrics) > 0 {
-		if s := res.Metrics[0].Get("user::procstat"); s != nil {
-			samples = s.Len()
-		}
 	}
 	tl := Timeline{Period: period, Labels: make([]string, samples)}
 	// Later-starting phases win on overlap.
@@ -154,8 +148,11 @@ func (c *Campaign) RunContext(ctx context.Context) (*CampaignResult, error) {
 
 // PhaseSeries extracts the sub-series of one metric covering the given
 // phase label's first contiguous window, or nil when the label never
-// became active.
+// became active or the run was tapped and kept no trace.
 func (r *CampaignResult) PhaseSeries(nodeID int, metric, label string) *trace.Series {
+	if r.Metrics == nil {
+		return nil
+	}
 	for _, w := range r.Timeline.Windows() {
 		if w.Label == label {
 			s := r.Metrics[nodeID].Get(metric)

@@ -51,8 +51,11 @@ type RunConfig struct {
 	// enabling online consumers (see internal/stream) to observe the run
 	// while it is still in progress. A sample's Values are valid for
 	// the duration of the call only (the monitor reuses the buffer); a
-	// tap that keeps them copies them. Excluded from JSON so a RunConfig
-	// can be journaled (see internal/stream/journal).
+	// tap that keeps them copies them. A tapped run keeps no trace: the
+	// tap sees every sample, bit for bit what an untapped run of the
+	// same seed records, and RunResult.Metrics is nil. Excluded from
+	// JSON so a RunConfig can be journaled (see
+	// internal/stream/journal).
 	Tap monitor.TapFunc `json:"-"`
 }
 
@@ -65,7 +68,8 @@ type RunResult struct {
 	Finished bool
 	// Job is the application job, when one was run.
 	Job *apps.Job
-	// Metrics holds each node's monitored time series.
+	// Metrics holds each node's monitored time series; nil when
+	// RunConfig.Tap was set, since a tapped run keeps no trace.
 	Metrics []*trace.Set
 	// Cluster is the simulated machine, for counter inspection.
 	Cluster *cluster.Cluster
@@ -80,8 +84,15 @@ func Run(cfg RunConfig) (*RunResult, error) {
 // simulation tick, and a cancelled run returns ctx.Err() (no partial
 // result). Long simulations driven by servers or CLIs should prefer it.
 func RunContext(ctx context.Context, cfg RunConfig) (*RunResult, error) {
+	res, _, err := runContext(ctx, cfg)
+	return res, err
+}
+
+// runContext is RunContext that also returns how many sampling periods
+// the monitor took, which a tapped run has no trace to count by.
+func runContext(ctx context.Context, cfg RunConfig) (*RunResult, int, error) {
 	if cfg.Cluster.Nodes == 0 {
-		return nil, fmt.Errorf("core: cluster config has no nodes")
+		return nil, 0, fmt.Errorf("core: cluster config has no nodes")
 	}
 	ccfg := cfg.Cluster
 	if cfg.Seed != 0 {
@@ -109,7 +120,7 @@ func RunContext(ctx context.Context, cfg RunConfig) (*RunResult, error) {
 
 	for _, s := range cfg.Anomalies {
 		if _, err := Inject(c, s); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 	}
 
@@ -117,7 +128,7 @@ func RunContext(ctx context.Context, cfg RunConfig) (*RunResult, error) {
 	if cfg.App != "" {
 		profile, ok := apps.ByName(cfg.App)
 		if !ok {
-			return nil, fmt.Errorf("core: unknown app %q (see Table 2: %v)", cfg.App, apps.Names())
+			return nil, 0, fmt.Errorf("core: unknown app %q (see Table 2: %v)", cfg.App, apps.Names())
 		}
 		if cfg.Iterations > 0 {
 			profile.Iterations = cfg.Iterations
@@ -169,11 +180,13 @@ func RunContext(ctx context.Context, cfg RunConfig) (*RunResult, error) {
 		res.Finished = true
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 
-	for i := 0; i < c.NumNodes(); i++ {
-		res.Metrics = append(res.Metrics, mon.NodeSet(i))
+	if cfg.Tap == nil {
+		for i := 0; i < c.NumNodes(); i++ {
+			res.Metrics = append(res.Metrics, mon.NodeSet(i))
+		}
 	}
-	return res, nil
+	return res, mon.Samples(), nil
 }

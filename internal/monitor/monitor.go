@@ -1,7 +1,8 @@
 // Package monitor emulates the Lightweight Distributed Metric Service
 // (LDMS) used on the paper's test system: once per sampling period it
 // reads each node's counters and appends one value per metric to a
-// per-node trace.Set.
+// per-node trace.Set — or, when a tap is set, delivers the sample to the
+// tap and keeps nothing.
 //
 // Metric names follow the paper's "metric::sampler" convention (e.g.
 // "user::procstat"). The metric set deliberately contains no direct
@@ -80,8 +81,9 @@ type Options struct {
 	// IncludeMemBW adds the uncore memory-bandwidth counter to the
 	// collected metric set (off by default, matching the paper).
 	IncludeMemBW bool
-	// Tap, when non-nil, receives every sample immediately after it is
-	// appended to the per-node trace, enabling online consumers.
+	// Tap, when non-nil, receives every sample as it is taken, enabling
+	// online consumers. A tapped monitor keeps no trace: the tap is the
+	// only consumer of its samples, and NodeSet returns nil.
 	Tap TapFunc
 }
 
@@ -95,8 +97,9 @@ type Monitor struct {
 	rng    *xrand.RNG
 
 	nextSample float64
-	sets       []*trace.Set
-	series     [][]*trace.Series // series[i]: node i's series in collection order (Names, then MemBW)
+	samples    int               // sampling periods taken
+	sets       []*trace.Set      // nil when tapped
+	series     [][]*trace.Series // series[i]: node i's series in collection order (Names, then MemBW); nil when tapped
 	prev       []node.Counters
 
 	// Tap delivery, resolved once: sorted names shared by every sample,
@@ -130,14 +133,6 @@ func NewWithOptions(cl *cluster.Cluster, period, noise float64, seed uint64, opt
 		names = append(names, MetricMemBW)
 	}
 	for i := 0; i < cl.NumNodes(); i++ {
-		set := trace.NewSet()
-		series := make([]*trace.Series, len(names))
-		for k, name := range names {
-			series[k] = trace.NewSeries(name, period)
-			set.Add(series[k])
-		}
-		m.sets = append(m.sets, set)
-		m.series = append(m.series, series)
 		m.prev[i] = cl.Node(i).Counters()
 	}
 	if opts.Tap != nil {
@@ -147,13 +142,34 @@ func NewWithOptions(cl *cluster.Cluster, period, noise float64, seed uint64, opt
 			m.tapOrder = append(m.tapOrder, slices.Index(names, name))
 		}
 		m.tapVals = make([]float64, len(names))
+	} else {
+		for i := 0; i < cl.NumNodes(); i++ {
+			set := trace.NewSet()
+			series := make([]*trace.Series, len(names))
+			for k, name := range names {
+				series[k] = trace.NewSeries(name, period)
+				set.Add(series[k])
+			}
+			m.sets = append(m.sets, set)
+			m.series = append(m.series, series)
+		}
 	}
 	m.nextSample = period
 	return m
 }
 
-// NodeSet returns the metric set collected from node i.
-func (m *Monitor) NodeSet(i int) *trace.Set { return m.sets[i] }
+// NodeSet returns the metric set collected from node i, or nil when the
+// monitor is tapped and keeps no trace.
+func (m *Monitor) NodeSet(i int) *trace.Set {
+	if m.sets == nil {
+		return nil
+	}
+	return m.sets[i]
+}
+
+// Samples returns how many sampling periods the monitor has taken: the
+// length of every node's series, tapped or not.
+func (m *Monitor) Samples() int { return m.samples }
 
 // Tick implements sim.Ticker.
 func (m *Monitor) Tick(now, dt float64) {
@@ -162,26 +178,17 @@ func (m *Monitor) Tick(now, dt float64) {
 	}
 	t := m.nextSample
 	m.nextSample += m.period
+	m.samples++
 	for i := 0; i < m.cl.NumNodes(); i++ {
 		m.sample(i)
 		if m.opts.Tap != nil {
-			m.opts.Tap(m.tapSample(i, t))
+			m.opts.Tap(Sample{Node: i, Time: t, Period: m.period, Names: m.tapNames, Values: m.tapVals})
 		}
 	}
 }
 
-// tapSample assembles the node's just-appended sample in sorted-name
-// order for delivery to the stream tap, in the buffer every delivery
-// shares.
-func (m *Monitor) tapSample(i int, t float64) Sample {
-	series := m.series[i]
-	for j, k := range m.tapOrder {
-		s := series[k]
-		m.tapVals[j] = s.Values[len(s.Values)-1]
-	}
-	return Sample{Node: i, Time: t, Period: m.period, Names: m.tapNames, Values: m.tapVals}
-}
-
+// sample takes node i's sample: appended to its series, or, on a
+// tapped monitor, put in the tap buffer in sorted-name order.
 func (m *Monitor) sample(i int) {
 	n := m.cl.Node(i)
 	cur := n.Counters()
@@ -194,7 +201,7 @@ func (m *Monitor) sample(i int) {
 	idle := float64(n.Spec.Threads())*100 - user - sys
 
 	// In collection order: Names, then MemBW, which only a monitor
-	// collecting it has a series for.
+	// collecting it takes.
 	values := [...]float64{
 		user,
 		sys,
@@ -208,18 +215,29 @@ func (m *Monitor) sample(i int) {
 		m.cl.Net().InjectedRate(i) / flitBytes,
 		(cur.MemBytes - prev.MemBytes) / p / node.CacheLine,
 	}
-	for k, s := range m.series[i] {
-		m.append(s, values[k])
+	if m.opts.Tap == nil {
+		for k, s := range m.series[i] {
+			s.Append(m.jitter(values[k]))
+		}
+		return
+	}
+	// Noise is drawn in collection order either way, so a tapped run
+	// delivers bit for bit what an untapped one records.
+	for k := range m.tapVals {
+		values[k] = m.jitter(values[k])
+	}
+	for j, k := range m.tapOrder {
+		m.tapVals[j] = values[k]
 	}
 }
 
-// append adds a sample with multiplicative noise (values of exactly zero
-// stay zero, as real counters would).
-func (m *Monitor) append(s *trace.Series, v float64) {
+// jitter applies multiplicative noise to one value (values of exactly
+// zero stay zero, as real counters would).
+func (m *Monitor) jitter(v float64) float64 {
 	if v != 0 && m.noise > 0 {
 		v *= m.rng.Jitter(m.noise)
 	}
-	s.Append(v)
+	return v
 }
 
 var _ sim.Ticker = (*Monitor)(nil)

@@ -168,11 +168,22 @@ func TestDeterministicSampling(t *testing.T) {
 }
 
 // The tap sees, for every node and sampling period, exactly the values
-// the monitor just appended to that node's trace, under sorted names.
+// an untapped twin monitor (same cluster, same seed) records in that
+// node's trace, under sorted names; the tapped monitor keeps no trace.
 func TestTapDeliversJustAppendedSample(t *testing.T) {
-	for _, memBW := range []bool{false, true} {
+	rig := func(memBW bool, tap TapFunc) *Monitor {
 		c := cluster.New(cluster.Voltrino(2))
-		var m *Monitor
+		m := NewWithOptions(c, 1.0, 0.02, 7, Options{IncludeMemBW: memBW, Tap: tap})
+		e := sim.New(0.1)
+		e.Add(c)
+		e.Add(m)
+		c.Place(&busy{cpu: 1}, 0, 0)
+		c.Place(&busy{cpu: 0.3}, 1, 2)
+		e.RunFor(6)
+		return m
+	}
+	for _, memBW := range []bool{false, true} {
+		twin := rig(memBW, nil)
 		delivered := 0
 		var prev []float64 // the previous delivery's Values slice
 		tap := func(s Sample) {
@@ -191,15 +202,12 @@ func TestTapDeliversJustAppendedSample(t *testing.T) {
 				t.Errorf("period = %v", s.Period)
 			}
 			for j, name := range s.Names {
-				series := m.NodeSet(s.Node).Get(name)
+				series := twin.NodeSet(s.Node).Get(name)
 				if series == nil {
 					t.Fatalf("memBW=%v: tap names %q, which node %d does not collect", memBW, name, s.Node)
 				}
-				if n := series.Len(); float64(n) != s.Time {
-					t.Errorf("node %d %s has %d samples at tap time %v", s.Node, name, n, s.Time)
-				}
-				if got, want := s.Values[j], series.Values[series.Len()-1]; math.Float64bits(got) != math.Float64bits(want) {
-					t.Errorf("node %d %s at t=%v: tap %v, trace %v", s.Node, name, s.Time, got, want)
+				if got, want := s.Values[j], series.Values[int(s.Time)-1]; math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("node %d %s at t=%v: tap %v, twin trace %v", s.Node, name, s.Time, got, want)
 				}
 			}
 			// The lifetime rule on Sample: one buffer serves every delivery.
@@ -208,15 +216,15 @@ func TestTapDeliversJustAppendedSample(t *testing.T) {
 			}
 			prev = s.Values
 		}
-		m = NewWithOptions(c, 1.0, 0.02, 7, Options{IncludeMemBW: memBW, Tap: tap})
-		e := sim.New(0.1)
-		e.Add(c)
-		e.Add(m)
-		c.Place(&busy{cpu: 1}, 0, 0)
-		c.Place(&busy{cpu: 0.3}, 1, 2)
-		e.RunFor(6)
+		m := rig(memBW, tap)
 		if delivered != 2*6 {
 			t.Errorf("memBW=%v: tap saw %d samples, want %d", memBW, delivered, 2*6)
+		}
+		if m.Samples() != 6 || twin.Samples() != 6 {
+			t.Errorf("memBW=%v: monitors took %d and %d samples, want 6", memBW, m.Samples(), twin.Samples())
+		}
+		if set := m.NodeSet(0); set != nil {
+			t.Errorf("memBW=%v: a tapped monitor kept a trace of %d series", memBW, set.Len())
 		}
 	}
 }

@@ -222,7 +222,8 @@ func (rt *Router) evacuate(ctx context.Context, m *member, force bool) (requeued
 				notes = append(notes, placeNotes...)
 				if perr == nil {
 					rt.mu.Lock()
-					r.shard, r.localID, r.last = m2, nst.ID, nst
+					r.shard, r.localID = m2, nst.ID
+					r.setLast(nst)
 					rt.mu.Unlock()
 					requeued++
 					continue
@@ -233,7 +234,7 @@ func (rt *Router) evacuate(ctx context.Context, m *member, force bool) (requeued
 				// it is now terminal at the source — hand its history off
 				// like any finished job.
 				rt.mu.Lock()
-				r.last = st
+				r.setLast(st)
 				rt.mu.Unlock()
 				if herr := rt.handoffRoute(ctx, m, r); herr == nil {
 					handedOff++
@@ -314,7 +315,8 @@ func (rt *Router) handoffRoute(ctx context.Context, src *member, r *route) error
 	rt.jobsHandedOff.Add(1)
 	rt.mu.Lock()
 	if !r.lost && r.shard == src {
-		r.shard, r.localID, r.last = dst, st.ID, st
+		r.shard, r.localID = dst, st.ID
+		r.setLast(st)
 	}
 	rt.mu.Unlock()
 	return nil
@@ -371,7 +373,8 @@ func (rt *Router) reclaimRoutes(ctx context.Context, m *member) (reclaimed int, 
 		}
 		rt.mu.Lock()
 		if r.lost {
-			r.shard, r.last = m, st
+			r.shard = m
+			r.setLast(st)
 			r.lost, r.reaped = false, false
 			reclaimed++
 			notes = append(notes, fmt.Sprintf("shard %s: reclaimed %s — journal history proved by idempotency key", m.name, gid))

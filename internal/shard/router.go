@@ -124,16 +124,19 @@ type zombieRef struct {
 }
 
 // route is one routed job: the router-assigned global ID, the
-// submission it carries (kept for re-placement), and the last observed
-// shard-local status. All mutable fields are guarded by Router.mu.
+// submission it carries (kept for re-placement until the job is final),
+// and the last observed shard-local status. All mutable fields are
+// guarded by Router.mu.
 type route struct {
 	gid       string
 	key       string // router-owned shard-level idempotency key, stable across re-placements
 	clientKey string // client's Idempotency-Key, "" if none
-	req       api.JobRequest
-	// raw is the submission pre-encoded in wire form, reused verbatim
-	// across placement retries and failover re-placements so the hop
-	// never re-marshals. Never pooled memory: it outlives the request.
+	// req and raw are the submission, decoded and in wire form: raw is
+	// reused verbatim across placement retries and failover
+	// re-placements so the hop never re-marshals, and is never pooled
+	// memory. Only a queued route is ever re-placed, so setLast drops
+	// both once the status is final.
+	req api.JobRequest
 	raw []byte
 
 	placed   chan struct{} // closed once placement resolves either way
@@ -349,7 +352,7 @@ func (rt *Router) refreshFrom(m *member) {
 			continue
 		}
 		if st, ok := idx[r.localID]; ok {
-			r.last = st
+			r.setLast(st)
 		}
 	}
 	rt.mu.Unlock()
@@ -568,7 +571,7 @@ func (rt *Router) failoverFrom(dead *member) (moved, lost int64, notes []string,
 				}
 				r.shard = m2
 				r.localID = st.ID
-				r.last = st
+				r.setLast(st)
 				moved++
 			}
 			rt.mu.Unlock()
@@ -589,11 +592,24 @@ func (rt *Router) failoverFrom(dead *member) (moved, lost int64, notes []string,
 // holds rt.mu.
 func (rt *Router) markLostLocked(r *route) {
 	r.lost = true
-	r.last.State = string(hpas.StreamJobFailed)
-	r.last.Error = hpas.ErrStreamShardLost.Error()
-	if r.last.Finished == nil {
+	st := r.last
+	st.State = string(hpas.StreamJobFailed)
+	st.Error = hpas.ErrStreamShardLost.Error()
+	if st.Finished == nil {
 		now := time.Now().UTC()
-		r.last.Finished = &now
+		st.Finished = &now
+	}
+	r.setLast(st)
+}
+
+// setLast records the route's last observed status. A final status
+// also drops the submission: nothing re-places a finished job, and a
+// router holding every route for its lifetime must not hold every
+// request body too. Caller holds rt.mu.
+func (r *route) setLast(st api.JobStatus) {
+	r.last = st
+	if st.Final() {
+		r.req, r.raw = api.JobRequest{}, nil
 	}
 }
 
@@ -926,7 +942,7 @@ func (rt *Router) SubmitRaw(ctx context.Context, req api.JobRequest, raw []byte,
 	} else {
 		r.shard = m
 		r.localID = st.ID
-		r.last = st
+		r.setLast(st)
 	}
 	close(r.placed)
 	pub := rt.publicLocked(r)
@@ -969,7 +985,7 @@ func (rt *Router) Get(ctx context.Context, gid string) (api.JobStatus, error) {
 	}
 	rt.mu.Lock()
 	if !r.lost && r.shard == m {
-		r.last = st
+		r.setLast(st)
 	}
 	out := rt.publicLocked(r)
 	rt.mu.Unlock()
@@ -1024,7 +1040,7 @@ func (rt *Router) List(ctx context.Context) ([]api.JobStatus, error) {
 		if !r.lost {
 			if idx := byMember[r.shard]; idx != nil {
 				if st, ok := idx[r.localID]; ok {
-					r.last = st
+					r.setLast(st)
 				}
 			}
 		}
@@ -1057,7 +1073,7 @@ func (rt *Router) Cancel(ctx context.Context, gid string) (api.JobStatus, error)
 	}
 	rt.mu.Lock()
 	if !r.lost && r.shard == m {
-		r.last = st
+		r.setLast(st)
 	}
 	out := rt.publicLocked(r)
 	rt.mu.Unlock()

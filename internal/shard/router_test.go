@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -351,6 +352,62 @@ func TestRouterNoShardsLeft(t *testing.T) {
 	} else if status := httpStatusFor(err); status != http.StatusServiceUnavailable {
 		t.Fatalf("no-shards submit maps to %d, want 503 (%v)", status, err)
 	}
+}
+
+// A route keeps its submission only while it may be re-placed: once
+// its status is final — done, cancelled, or failed by shard loss —
+// neither the decoded request nor its wire bytes stay reachable from
+// the route table.
+func TestRouterDropsSubmissionOfFinalRoute(t *testing.T) {
+	c := newLocalCluster(t, 2, 1)
+	ctx := ctxT(t)
+	submit := func(req api.JobRequest) string {
+		t.Helper()
+		raw, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, _, err := c.rt.SubmitRaw(ctx, req, raw, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.ID
+	}
+	holds := func(gid string) (req, raw bool) {
+		c.rt.mu.Lock()
+		defer c.rt.mu.Unlock()
+		r := c.rt.routes[gid]
+		return !reflect.DeepEqual(r.req, api.JobRequest{}), r.raw != nil
+	}
+	dropped := func(gid, how string) {
+		t.Helper()
+		if req, raw := holds(gid); req || raw {
+			t.Errorf("%s route %s still holds its submission (request %v, wire bytes %v)", how, gid, req, raw)
+		}
+	}
+
+	done := submit(api.JobRequest{Seed: 1, Duration: 20, Window: 10})
+	waitState(t, c, done, api.JobStatus.Final)
+	dropped(done, "a done")
+
+	live := submit(endless(2))
+	if req, raw := holds(live); !req || !raw {
+		t.Fatalf("a live route dropped its submission (request %v, wire bytes %v); failover could not re-place it", req, raw)
+	}
+	if _, err := c.rt.Cancel(ctx, live); err != nil {
+		t.Fatal(err)
+	}
+	dropped(live, "a cancelled")
+
+	lost := submit(endless(3))
+	waitState(t, c, lost, func(st api.JobStatus) bool { return st.State == string(hpas.StreamJobRunning) })
+	c.locals[rendezvousOwner(lost, c.names)].Kill()
+	c.rt.CheckNow()
+	c.rt.CheckNow() // FailAfter probes
+	if st := waitState(t, c, lost, api.JobStatus.Final); !strings.Contains(st.Error, "failed-by-shard-loss") {
+		t.Fatalf("running job on a dead shard ended %s (%q), want failed-by-shard-loss", st.State, st.Error)
+	}
+	dropped(lost, "a lost")
 }
 
 // The failover contract: killing a shard re-places its queued jobs on

@@ -31,7 +31,11 @@ func AppendMsg(dst []byte, m *Message) ([]byte, error) {
 	if !e.bad {
 		return e.b, nil
 	}
-	b, err := json.Marshal(m)
+	// Marshal a copy: handing m itself to json.Marshal would move every
+	// caller's message to the heap, for the rare message that takes
+	// this branch.
+	c := *m
+	b, err := json.Marshal(&c)
 	if err != nil {
 		return dst, err
 	}

@@ -73,12 +73,17 @@ type Job struct {
 	state    JobState
 	err      error
 	log      EncodedLog
-	events   []Event       // anomaly events, maintained incrementally on append
-	updated  chan struct{} // closed and replaced on every append/state change
+	events   []Event // anomaly events, maintained incrementally on append
 	cancel   context.CancelFunc
 	created  time.Time
 	started  time.Time
 	finished time.Time
+
+	// updated wakes the followers and Cancel calls blocked on the job:
+	// made by the first of them to block, closed and cleared by the next
+	// append or state change. Nil while nobody waits, so a finished job
+	// holds none.
+	updated chan struct{}
 }
 
 // ID returns the job's manager-assigned identifier (e.g. "j0001").
@@ -240,7 +245,7 @@ func (j *Job) follow(ctx context.Context, from int, deliver func(Frame) bool) {
 		if done {
 			return
 		}
-		if n == 0 && skipped == 0 {
+		if wait != nil {
 			select {
 			case <-wait:
 			case <-ctx.Done():
@@ -254,9 +259,11 @@ func (j *Job) follow(ctx context.Context, from int, deliver func(Frame) bool) {
 // deliver next: n messages starting at from+skipped, at most the follow
 // limit per call, after skipping ahead (drop-oldest) when a live job's
 // head has outrun the follower by more than the limit. done reports
-// stream completion at the end of the chunk; wait is closed on the next
-// log change. The returned log shares the job's memory: the messages it
-// holds never change, so the caller reads them outside j.mu.
+// stream completion at the end of the chunk. When there is nothing to
+// deliver and the stream is not done, wait is the channel closed on the
+// next log change, made here if nobody waits yet; otherwise it is nil.
+// The returned log shares the job's memory: the messages it holds never
+// change, so the caller reads them outside j.mu.
 func (j *Job) window(from int) (log EncodedLog, n, skipped int, done bool, wait chan struct{}) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -275,7 +282,28 @@ func (j *Job) window(from int) (log EncodedLog, n, skipped int, done bool, wait 
 	}
 	n = min(head-from, chunk)
 	done = j.state.Final() && from+n == head
-	return j.log, n, skipped, done, j.updated
+	if n == 0 && skipped == 0 && !done {
+		wait = j.waitLocked()
+	}
+	return j.log, n, skipped, done, wait
+}
+
+// waitLocked returns the channel the next append or state change
+// closes, making it if nobody waits yet. Callers hold j.mu.
+func (j *Job) waitLocked() chan struct{} {
+	if j.updated == nil {
+		j.updated = make(chan struct{})
+	}
+	return j.updated
+}
+
+// wakeLocked wakes every follower and Cancel blocked on the job.
+// Callers hold j.mu.
+func (j *Job) wakeLocked() {
+	if j.updated != nil {
+		close(j.updated)
+		j.updated = nil
+	}
 }
 
 // appendLocked encodes a stream message onto the log, maintains the
@@ -290,8 +318,7 @@ func (j *Job) appendLocked(m *Message) (seq int, err error) {
 	if m.Type == "event" && m.Event != nil {
 		j.events = append(j.events, *m.Event)
 	}
-	close(j.updated)
-	j.updated = make(chan struct{})
+	j.wakeLocked()
 	return j.log.Len() - 1, nil
 }
 
@@ -490,7 +517,6 @@ func (m *Manager) newJob(id string, spec JobSpec, state JobState, created time.T
 		frameHits:     &m.frameHits,
 		state:         state,
 		created:       created,
-		updated:       make(chan struct{}),
 	}
 }
 
@@ -713,7 +739,7 @@ func (m *Manager) Cancel(ctx context.Context, id string) error {
 		j.cancel()
 	}
 	for !j.state.Final() {
-		wait := j.updated
+		wait := j.waitLocked()
 		j.mu.Unlock()
 		select {
 		case <-wait:
@@ -814,8 +840,7 @@ func (m *Manager) run(j *Job) {
 	j.state = JobRunning
 	j.started = time.Now()
 	j.cancel = cancel
-	close(j.updated)
-	j.updated = make(chan struct{})
+	j.wakeLocked()
 	started := j.started
 	j.mu.Unlock()
 	m.npending.Add(-1)
@@ -851,8 +876,10 @@ func (m *Manager) run(j *Job) {
 }
 
 // append encodes a stream message onto the job's log and journals it.
-// A message that does not encode (a NaN or infinite float) fails the
-// job; nothing is appended once the job is terminal.
+// msg is lent by the pipeline (see PipelineConfig.Emit): it is encoded,
+// its event copied into the index and the journal record written before
+// append returns. A message that does not encode (a NaN or infinite
+// float) fails the job; nothing is appended once the job is terminal.
 func (m *Manager) append(j *Job, msg Message) {
 	j.mu.Lock()
 	if j.state.Final() {
@@ -900,6 +927,7 @@ func (m *Manager) finish(j *Job, err error) {
 		m.failed.Add(1)
 	}
 	seq, err := j.appendLocked(&msg)
+	j.wakeLocked() // the state changed even if the done message did not encode
 	// The log is complete: keep it in exactly sized memory.
 	j.log = j.log.compact()
 	state, errText := j.state, ""

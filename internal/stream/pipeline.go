@@ -32,7 +32,11 @@ type PipelineConfig struct {
 	// Normal is the background class (default "none").
 	Normal string
 	// Emit receives every stream message in order. It runs on the
-	// simulation goroutine of the job's run.
+	// simulation goroutine of the job's run. The message is lent: its
+	// Window or Event is the pipeline's own, overwritten by the next
+	// message, so it is valid for the call only, like
+	// monitor.Sample.Values. A receiver that keeps a message copies
+	// what it points to (the manager encodes it on the spot).
 	Emit func(Message) `json:"-"`
 	// Telemetry, when non-nil, accumulates self-metrics.
 	Telemetry *Telemetry `json:"-"`
@@ -62,12 +66,17 @@ type Pipeline struct {
 	extract  features.Scratch
 	featBuf  []float64
 	votesBuf []float64
+
+	// The window and event every emitted message lends (see Emit).
+	win Window
+	ev  Event
 }
 
 // nodeState is one watched node's ring-buffered window over the metric
-// stream: rings[m] holds the last winN samples of metric m.
+// stream: ring[m*winN:(m+1)*winN] holds the last winN samples of metric
+// m. The rings and the rows are carved out of one backing array.
 type nodeState struct {
-	rings   [][]float64
+	ring    []float64
 	rows    [][]float64 // scratch: chronological copy handed to features
 	head    int         // next write position == oldest sample when full
 	count   int         // total samples observed
@@ -124,7 +133,7 @@ func (p *Pipeline) Observe(s monitor.Sample) {
 		p.nodes[s.Node] = st
 	}
 	for m, v := range s.Values {
-		st.rings[m][st.head] = v
+		st.ring[m*st.winN+st.head] = v
 	}
 	st.head = (st.head + 1) % st.winN
 	st.count++
@@ -142,23 +151,25 @@ func (p *Pipeline) newNodeState(s monitor.Sample) *nodeState {
 	if strideN < 1 {
 		strideN = 1
 	}
+	nMetrics := len(s.Values)
+	buf := make([]float64, 2*nMetrics*winN)
 	st := &nodeState{
-		rings:   make([][]float64, len(s.Values)),
-		rows:    make([][]float64, len(s.Values)),
+		ring:    buf[: nMetrics*winN : nMetrics*winN],
+		rows:    make([][]float64, nMetrics),
 		winN:    winN,
 		strideN: strideN,
 		period:  s.Period,
 	}
-	for m := range st.rings {
-		st.rings[m] = make([]float64, winN)
-		st.rows[m] = make([]float64, winN)
+	rows := buf[nMetrics*winN:]
+	for m := range st.rows {
+		st.rows[m] = rows[m*winN : (m+1)*winN : (m+1)*winN]
 	}
 	st.sum = NewSummarizer(p.cfg.Normal, func(ev Event) {
 		if p.cfg.Telemetry != nil {
 			p.cfg.Telemetry.Events.Add(1)
 		}
-		e := ev
-		p.cfg.Emit(Message{Type: "event", Event: &e})
+		p.ev = ev
+		p.cfg.Emit(Message{Type: "event", Event: &p.ev})
 	})
 	return st
 }
@@ -168,9 +179,10 @@ func (p *Pipeline) newNodeState(s monitor.Sample) *nodeState {
 func (p *Pipeline) classify(nodeID int, st *nodeState) {
 	// Unroll the ring chronologically: head points at the oldest sample
 	// once the window is full.
-	for m, ring := range st.rings {
-		n := copy(st.rows[m], ring[st.head:])
-		copy(st.rows[m][n:], ring[:st.head])
+	for m, row := range st.rows {
+		ring := st.ring[m*st.winN : (m+1)*st.winN]
+		n := copy(row, ring[st.head:])
+		copy(row[n:], ring[:st.head])
 	}
 
 	start := time.Now()
@@ -213,8 +225,8 @@ func (p *Pipeline) classify(nodeID int, st *nodeState) {
 		Class:      det.Classes[k],
 		Confidence: conf,
 	}
-	wc := w
-	p.cfg.Emit(Message{Type: "window", Window: &wc})
+	p.win = w
+	p.cfg.Emit(Message{Type: "window", Window: &p.win})
 	st.sum.Observe(w)
 }
 

@@ -51,10 +51,21 @@ func feed(p *Pipeline, node int, value float64, n int, tOffset float64) {
 }
 
 func TestPipelineWindowsAndEvents(t *testing.T) {
+	// Emit lends its message: keeping one means copying what it points to.
 	var msgs []Message
 	p, err := NewPipeline(PipelineConfig{
 		Detector: stubDetector(5),
-		Emit:     func(m Message) { msgs = append(msgs, m) },
+		Emit: func(m Message) {
+			if m.Window != nil {
+				w := *m.Window
+				m.Window = &w
+			}
+			if m.Event != nil {
+				ev := *m.Event
+				m.Event = &ev
+			}
+			msgs = append(msgs, m)
+		},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -20,7 +20,10 @@ type Store interface {
 	// spec. Called once per job, before any Append for that job.
 	Create(id string, created time.Time, spec JobSpec) error
 	// Append records the seq-th message of the job's stream log. seq is
-	// the message's index in Job.Messages(), starting at 0.
+	// the message's index in Job.Messages(), starting at 0. msg is lent
+	// (see PipelineConfig.Emit): its Window or Event is valid for the
+	// call only, so an implementation encodes or copies it before
+	// returning.
 	Append(id string, seq int, msg Message) error
 	// State records a lifecycle transition at time at. errText is empty
 	// except for JobFailed. Implementations should make terminal states

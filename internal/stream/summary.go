@@ -15,7 +15,7 @@ const DefaultNormalClass = "none"
 type Summarizer struct {
 	normal  string
 	emit    func(Event)
-	open    *Event
+	open    Event // the event being built; Windows is 0 while none is
 	confSum float64
 }
 
@@ -33,7 +33,7 @@ func (s *Summarizer) Observe(w Window) {
 	switch {
 	case w.Class == s.normal:
 		s.Flush()
-	case s.open != nil && s.open.Class == w.Class && s.open.Node == w.Node:
+	case s.open.Windows > 0 && s.open.Class == w.Class && s.open.Node == w.Node:
 		s.open.End = w.To
 		s.open.Windows++
 		s.confSum += w.Confidence
@@ -41,7 +41,7 @@ func (s *Summarizer) Observe(w Window) {
 		// A different anomaly class (or node) back-to-back: the previous
 		// event ends where the new one begins.
 		s.Flush()
-		s.open = &Event{
+		s.open = Event{
 			Node:    w.Node,
 			Class:   w.Class,
 			Start:   w.From,
@@ -55,12 +55,12 @@ func (s *Summarizer) Observe(w Window) {
 // Flush closes and emits the open event, if any. Use at stream end so
 // an anomaly still active when the run stops is not lost.
 func (s *Summarizer) Flush() {
-	if s.open == nil {
+	if s.open.Windows == 0 {
 		return
 	}
-	ev := *s.open
+	ev := s.open
 	ev.Confidence = s.confSum / float64(ev.Windows)
-	s.open = nil
+	s.open = Event{}
 	s.confSum = 0
 	s.emit(ev)
 }
